@@ -12,8 +12,8 @@
 // Field, Tag, MustTag, HasField, DeleteBTag, ...) are flagged, steering
 // the code to the Sym-keyed forms (SetFieldSym, FieldSym, ...) with the
 // label interned once at construction time. Deliberately string-keyed
-// sites — a cold error path, a compatibility codec that ships names on
-// the wire anyway — carry a `//lint:reason`.
+// sites — a cold error path, a convenience wrapper for cold boxes — carry
+// a `//lint:reason`.
 package symhot
 
 import (

@@ -1,12 +1,14 @@
 // Fixture impersonating snet/internal/stream for the wallclock analyzer.
 package stream
 
-import "time"
+import (
+	"time"
 
-var now = time.Now //lint:reason default binding of the flush-latency clock seam
+	"snet/internal/clock"
+)
 
 func pendingFor(since time.Time) time.Duration {
-	return now().Sub(since)
+	return clock.Source{}.Now().Sub(since)
 }
 
 func bad(since time.Time) time.Duration {

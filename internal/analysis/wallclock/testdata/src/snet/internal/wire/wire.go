@@ -1,22 +1,15 @@
 // Fixture impersonating snet/internal/wire for the wallclock analyzer:
-// no direct wall-clock reads or timer construction outside the clock
-// seam.
+// no direct wall-clock reads or timer construction; time comes from the
+// injected clock.Source.
 package wire
 
-import "time"
+import (
+	"time"
 
-// Clock is the seam; its default binding is the one sanctioned
-// wall-clock read in the package.
-type Clock struct {
-	NowFn func() time.Time
-}
+	"snet/internal/clock"
+)
 
-func (c Clock) Now() time.Time {
-	if c.NowFn != nil {
-		return c.NowFn()
-	}
-	return time.Now() //lint:reason default real-time binding of the clock seam
-}
+func stamp(c clock.Source) time.Time { return c.Now() }
 
 func bad() {
 	_ = time.Now()                  // want "direct time.Now"

@@ -1,20 +1,19 @@
-// Package wallclock enforces the PR-7 testability invariant on the
-// transport and durability layers: production code in snet/internal/wire,
-// snet/internal/stream, and snet/internal/journal must not read the wall
-// clock or create timers directly — all time flows through the injected
-// clock seams (wire.Clock, the stream package's `now` hook,
-// journal.Clock), which is what lets the fault detectors (heartbeat
-// sweep, liveness timeout, call deadlines, quarantine cool-down) and the
-// journal's batched-fsync interval be driven by synthetic time in
-// deterministic tests instead of by sleeping.
+// Package wallclock enforces the runtime's testability invariant on the
+// transport, durability and retry code: production code in
+// snet/internal/wire, snet/internal/stream, snet/internal/journal and
+// snet/internal/core must not read the wall clock or create timers
+// directly — all time flows through internal/clock, the one time seam,
+// which is what lets the fault detectors (heartbeat sweep, liveness
+// timeout, call deadlines, quarantine cool-down), the journal's
+// batched-fsync interval and box-retry backoff be driven by a clock.Fake
+// in deterministic tests instead of by sleeping.
 //
 // Banned in those packages: time.Now, time.Sleep, time.Since, time.Until,
 // time.After, time.AfterFunc, time.NewTimer, time.NewTicker, time.Tick —
-// whether called or referenced as a value. The deliberate exceptions are
-// exactly two kinds, each carrying a `//lint:reason`: the default
-// real-time bindings inside the clock seams themselves, and net.Conn
-// deadline arithmetic (the kernel compares deadlines against real time,
-// so a synthetic cluster clock must not shift them).
+// whether called or referenced as a value. The one deliberate exception,
+// carrying a `//lint:reason`, is net.Conn deadline arithmetic: the kernel
+// compares deadlines against real time, so a synthetic cluster clock must
+// not shift them.
 package wallclock
 
 import (
@@ -24,12 +23,13 @@ import (
 	"snet/internal/analysis/framework"
 )
 
-// packages is the analyzer's scope: transport production code whose fault
-// detectors must be drivable by synthetic time.
+// packages is the analyzer's scope: production code whose timing
+// decisions must be drivable by synthetic time.
 var packages = map[string]bool{
 	"snet/internal/wire":    true,
 	"snet/internal/stream":  true,
 	"snet/internal/journal": true,
+	"snet/internal/core":    true,
 }
 
 // banned is the set of time-package functions that read the wall clock or
@@ -49,8 +49,8 @@ var banned = map[string]bool{
 // Analyzer is the wallclock pass.
 var Analyzer = &framework.Analyzer{
 	Name: "wallclock",
-	Doc: "transport code must route all time through the injected clock seams " +
-		"(wire.Clock, stream's now hook) so fault detectors stay deterministically testable",
+	Doc: "runtime code must route all time through internal/clock, the one time seam, " +
+		"so fault detectors, fsync batching and retry backoff stay deterministically testable",
 	Run: run,
 }
 
@@ -81,8 +81,8 @@ func run(pass *framework.Pass) error {
 			if pass.Allowed(sel) {
 				return true
 			}
-			pass.Reportf(sel.Pos(), "direct time.%s in %s: route through the injected clock seam "+
-				"(wire.Clock / stream's now hook) so fault detectors stay deterministically testable",
+			pass.Reportf(sel.Pos(), "direct time.%s in %s: route through internal/clock "+
+				"(a clock.Clock) so timing decisions stay deterministically testable",
 				fn.Name(), pass.Path)
 			return true
 		})

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"snet/internal/journal"
 	"snet/internal/record"
 	"snet/internal/rtype"
 	"snet/internal/stream"
@@ -325,7 +324,7 @@ func (b *boxImpl) attempt(call *BoxCall, run func(), r *record.Record) (matched,
 			call.Matched = nil
 			return true, true, true
 		}
-		if !env.retryWait(journal.Backoff(policy.Backoff, policy.MaxBackoff, n)) {
+		if !env.retryWait(backoff(policy.Backoff, policy.MaxBackoff, n)) {
 			call.In = nil
 			call.Matched = nil
 			return false, false, false

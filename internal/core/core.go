@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/journal"
 	"snet/internal/record"
 	"snet/internal/rtype"
@@ -174,6 +175,10 @@ type Options struct {
 	// and dead-letters the record once the budget is exhausted (see
 	// BoxRetry and Instance.DeadLetters).
 	BoxRetry BoxRetry
+	// Clock is the time source of the Durability journal's FsyncBatch
+	// interval and of BoxRetry's backoff waits; tests drive both with a
+	// clock.Fake. The zero value reads real time.
+	Clock clock.Clock
 }
 
 // DefaultBufferSize is used when Options.BufferSize is zero-valued via

@@ -32,9 +32,6 @@ type Durability struct {
 	// FS overrides the journal's disk seam (fault injection, tests); nil
 	// selects the real disk rooted at Dir.
 	FS journal.FS
-	// Clock overrides the journal's time source; the zero value binds to
-	// real time.
-	Clock journal.Clock
 	// Ext encodes field values beyond the wire-native set, exactly as for
 	// distribution (dist.ValueCodec). Records whose fields the journal
 	// cannot encode flow through the network untracked.
@@ -62,9 +59,26 @@ type BoxRetry struct {
 	Backoff time.Duration
 	// MaxBackoff caps the doubling; zero means uncapped.
 	MaxBackoff time.Duration
-	// Clock injects the time source for backoff waits (tests drive retries
-	// with synthetic timers); the zero value binds to real time.
-	Clock journal.Clock
+}
+
+// backoff returns the delay before retry attempt n (1-based: the wait after
+// the n-th failed attempt): base doubled per prior failure, capped at max.
+// A non-positive base disables waiting; a non-positive max means uncapped.
+func backoff(base, max time.Duration, n int) time.Duration {
+	if base <= 0 || n < 1 {
+		return 0
+	}
+	d := base
+	for i := 1; i < n; i++ {
+		d *= 2
+		if max > 0 && d >= max {
+			return max
+		}
+	}
+	if max > 0 && d > max {
+		return max
+	}
+	return d
 }
 
 // DeadLetter is one record the runtime gave up on: a box exhausted its
@@ -251,7 +265,7 @@ func (e *Env) retryWait(d time.Duration) bool {
 			return true
 		}
 	}
-	t := e.opts.BoxRetry.Clock.Timer(d)
+	t := e.opts.Clock.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:

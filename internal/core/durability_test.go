@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/journal"
 	"snet/internal/leakcheck"
 	"snet/internal/record"
@@ -35,20 +37,28 @@ func failNBox(name string, n int) *Entity {
 	})
 }
 
-// immediateClock returns a retry clock whose timers fire at once, recording
-// each requested delay.
-func immediateClock(delays *[]time.Duration) journal.Clock {
-	var mu sync.Mutex
-	return journal.Clock{
-		TimerFn: func(d time.Duration) journal.Timer {
-			mu.Lock()
-			*delays = append(*delays, d)
-			mu.Unlock()
-			ch := make(chan time.Time, 1)
-			ch <- time.Time{}
-			return journal.Timer{C: ch, StopFn: func() bool { return false }}
-		},
-	}
+// driveRetries advances fc to each backoff timer the runtime arms until
+// stop closes, then delivers the waits it passed, in order.
+func driveRetries(fc *clock.Fake, stop <-chan struct{}) <-chan []time.Duration {
+	out := make(chan []time.Duration, 1)
+	go func() {
+		var delays []time.Duration
+		for {
+			select {
+			case <-stop:
+				out <- delays
+				return
+			default:
+			}
+			if d, ok := fc.Next(); ok {
+				delays = append(delays, d)
+				fc.Advance(d)
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}()
+	return out
 }
 
 func TestPoisonRecordDeadLetters(t *testing.T) {
@@ -88,14 +98,20 @@ func TestPoisonRecordDeadLetters(t *testing.T) {
 
 func TestRetryEventuallySucceeds(t *testing.T) {
 	defer leakcheck.Check(t)
-	var delays []time.Duration
-	net := NewNetwork(failNBox("flaky", 2), Options{BoxRetry: BoxRetry{
-		Attempts:   5,
-		Backoff:    10 * time.Millisecond,
-		MaxBackoff: 15 * time.Millisecond,
-		Clock:      immediateClock(&delays),
-	}})
+	fc := clock.NewFake(time.Unix(1000, 0))
+	net := NewNetwork(failNBox("flaky", 2), Options{
+		BoxRetry: BoxRetry{
+			Attempts:   5,
+			Backoff:    10 * time.Millisecond,
+			MaxBackoff: 15 * time.Millisecond,
+		},
+		Clock: fc.Clock(),
+	})
+	stop := make(chan struct{})
+	waits := driveRetries(fc, stop)
 	outs, err := net.Run(record.New().SetField("x", 1))
+	close(stop)
+	delays := <-waits
 	if err != nil {
 		t.Fatalf("network error: %v", err)
 	}
@@ -378,4 +394,24 @@ func TestRecoverValidation(t *testing.T) {
 		t.Error("second Recover succeeded")
 	}
 	inst2.Close()
+}
+
+func TestBackoff(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		base, max time.Duration
+		n         int
+		want      time.Duration
+	}{
+		{0, 0, 1, 0},
+		{10 * ms, 0, 1, 10 * ms},
+		{10 * ms, 0, 3, 40 * ms},
+		{10 * ms, 25 * ms, 3, 25 * ms},
+		{10 * ms, 0, 0, 0},
+	}
+	for _, c := range cases {
+		if got := backoff(c.base, c.max, c.n); got != c.want {
+			t.Errorf("backoff(%v,%v,%d) = %v, want %v", c.base, c.max, c.n, got, c.want)
+		}
+	}
 }

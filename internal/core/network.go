@@ -92,7 +92,7 @@ func (n *Network) Start() *Instance {
 		j, err := journal.Open(journal.Config{
 			Dir: d.Dir, FS: d.FS, SegmentBytes: d.SegmentBytes,
 			Fsync: d.Fsync, FsyncInterval: d.FsyncInterval,
-			Clock: d.Clock, Ext: d.Ext,
+			Clock: n.opts.Clock, Ext: d.Ext,
 		})
 		if err != nil {
 			env.reportRT("", ErrCatJournal, "", fmt.Errorf("journal open: %w", err))

@@ -1,17 +1,14 @@
-// The record wire codec: what a record costs to move between cluster nodes,
-// and — for serializable field values — the bytes that would actually move.
+// The record wire codec's shared layer: field-value type codes, record
+// kinds, value encoding and sizing, and the bounds-checked decoder the
+// link Codec (codec2.go) reads messages with.
 //
-// Distributed S-Net ships records between nodes, so the platform needs a
-// defined wire representation to size transfers. Tags and binding tags are
-// integers and always serialize exactly. Field values are opaque to the
-// coordination layer; the codec serializes the common scalar kinds (nil,
-// bool, integers, float64, string, []byte) exactly and sizes everything else
-// with the mpi.ByteSizer conventions (ByteSize when declared, a fixed
-// estimate otherwise), so the S-Net cluster and the MPI baseline charge
-// identical byte counts for the same payloads.
-//
-// Invariant: for a record whose field values are all serializable,
-// Size(r) == len(Marshal(r)).
+// Tags and binding tags are integers and always serialize exactly. Field
+// values are opaque to the coordination layer; the codec serializes the
+// common scalar kinds (nil, bool, integers, float64, string, []byte)
+// exactly and sizes everything else with the mpi.ByteSizer conventions
+// (ByteSize when declared, a fixed estimate otherwise), so the S-Net
+// cluster and the MPI baseline charge identical byte counts for the same
+// payloads.
 package dist
 
 import (
@@ -20,16 +17,12 @@ import (
 	"math"
 
 	"snet/internal/mpi"
-	"snet/internal/record"
 )
-
-// codecVersion is the wire-format version byte leading every encoding.
-const codecVersion = 1
 
 // Field-value type codes on the wire. tExt carries a value encoded by a
 // registered ValueCodec (codec2.go): a u16-length-prefixed encoding name
-// followed by a u32-length-prefixed payload; only the stateful v2 codec
-// can carry extension values, since decoding needs the link's ValueCodec.
+// followed by a u32-length-prefixed payload; decoding it needs the link's
+// ValueCodec.
 const (
 	tNil byte = iota
 	tBool
@@ -45,20 +38,6 @@ const (
 	kData    byte = 0
 	kTrigger byte = 1
 )
-
-// Size returns the record's wire size in bytes: the exact encoding size for
-// serializable content, with non-serializable field values sized by
-// mpi.PayloadBytes. Transfer uses Size for traffic accounting.
-func Size(r *record.Record) int {
-	n := 8 // version, kind, three u16 label counts
-	count := func(label string, _ int) { n += 2 + len(label) + 8 }
-	r.VisitTags(count)
-	r.VisitBTags(count)
-	r.VisitFields(func(label string, v any) {
-		n += 2 + len(label) + 1 + valueSize(v)
-	})
-	return n
-}
 
 // valueSize is the encoded payload size after the type-code byte.
 func valueSize(v any) int {
@@ -78,60 +57,7 @@ func valueSize(v any) int {
 	}
 }
 
-// Marshal encodes a record for the wire. It fails when a field value is not
-// one of the serializable kinds; such records can still be sized (Size) and
-// transferred in-process, they just have no exact wire form.
-func Marshal(r *record.Record) ([]byte, error) {
-	tags, btags, fields := r.Tags(), r.BTags(), r.Fields()
-	if len(tags) > math.MaxUint16 || len(btags) > math.MaxUint16 ||
-		len(fields) > math.MaxUint16 {
-		return nil, fmt.Errorf(
-			"dist: record with %d fields, %d tags, %d btags exceeds the wire limit of %d labels per kind",
-			len(fields), len(tags), len(btags), math.MaxUint16)
-	}
-	for _, ks := range [][]string{tags, btags, fields} {
-		for _, k := range ks {
-			if len(k) > math.MaxUint16 {
-				return nil, fmt.Errorf(
-					"dist: label %.32q… of %d bytes exceeds the wire limit of %d",
-					k, len(k), math.MaxUint16)
-			}
-		}
-	}
-	buf := make([]byte, 0, Size(r))
-	buf = append(buf, codecVersion, kData)
-	if !r.IsData() {
-		buf[1] = kTrigger
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(tags)))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(btags)))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(fields)))
-	for _, k := range tags {
-		v, _ := r.Tag(k) //lint:reason v1 wire format is name-keyed: labels travel as strings
-		buf = appendLabel(buf, k)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
-	}
-	for _, k := range btags {
-		v, _ := r.BTag(k) //lint:reason v1 wire format is name-keyed: labels travel as strings
-		buf = appendLabel(buf, k)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
-	}
-	for _, k := range fields {
-		v, _ := r.Field(k) //lint:reason v1 wire format is name-keyed: labels travel as strings
-		buf = appendLabel(buf, k)
-		var err error
-		if buf, err = appendValue(buf, k, v); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func appendLabel(buf []byte, label string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(label)))
-	return append(buf, label...)
-}
-
+// appendValue writes one field value: its type code and payload.
 func appendValue(buf []byte, label string, v any) ([]byte, error) {
 	switch d := v.(type) {
 	case nil:
@@ -170,88 +96,16 @@ func appendValue(buf []byte, label string, v any) ([]byte, error) {
 	}
 }
 
-// Unmarshal decodes a record encoded by Marshal. The wire format keeps one
-// integer kind, so int and int64 field values both decode as int. Version 2
-// buffers (Codec) are accepted as long as they are self-contained, i.e.
-// every label carries its inline definition — true of the first record a
-// fresh Codec marshals; later records of a negotiated stream need the
-// receiving link's Codec.Unmarshal.
-func Unmarshal(data []byte) (*record.Record, error) {
-	d := &decoder{buf: data}
-	version, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if version == codecVersion2 {
-		return unmarshalV2(data, make(map[uint64]record.Sym), nil)
-	}
-	if version != codecVersion {
-		return nil, fmt.Errorf("dist: wire version %d, want %d", version, codecVersion)
-	}
-	kind, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	var r *record.Record
-	switch kind {
-	case kData:
-		r = record.New()
-	case kTrigger:
-		r = record.NewTrigger()
-	default:
-		return nil, fmt.Errorf("dist: unknown record kind %d", kind)
-	}
-	nTags, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	nBTags, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	nFields, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(nTags); i++ {
-		k, v, err := d.labeledInt()
-		if err != nil {
-			return nil, err
-		}
-		r.SetTag(k, v) //lint:reason v1 wire format is name-keyed: labels travel as strings
-	}
-	for i := 0; i < int(nBTags); i++ {
-		k, v, err := d.labeledInt()
-		if err != nil {
-			return nil, err
-		}
-		r.SetBTag(k, v) //lint:reason v1 wire format is name-keyed: labels travel as strings
-	}
-	for i := 0; i < int(nFields); i++ {
-		k, err := d.label()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.value(k, nil)
-		if err != nil {
-			return nil, err
-		}
-		r.SetField(k, v) //lint:reason v1 wire format is name-keyed: labels travel as strings
-	}
-	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("dist: %d trailing bytes after record", len(d.buf)-d.off)
-	}
-	return r, nil
-}
-
 // decoder walks an encoded record with bounds checking.
 type decoder struct {
 	buf []byte
 	off int
 }
 
+// take consumes the next n bytes. A length read from the wire can exceed
+// the int range when converted, so a negative n is truncation too.
 func (d *decoder) take(n int) ([]byte, error) {
-	if d.off+n > len(d.buf) {
+	if n < 0 || n > len(d.buf)-d.off {
 		return nil, fmt.Errorf("dist: truncated record encoding at byte %d", d.off)
 	}
 	b := d.buf[d.off : d.off+n]
@@ -289,30 +143,6 @@ func (d *decoder) u64() (uint64, error) {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (d *decoder) label() (string, error) {
-	n, err := d.u16()
-	if err != nil {
-		return "", err
-	}
-	b, err := d.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func (d *decoder) labeledInt() (string, int, error) {
-	k, err := d.label()
-	if err != nil {
-		return "", 0, err
-	}
-	v, err := d.u64()
-	if err != nil {
-		return "", 0, err
-	}
-	return k, int(int64(v)), nil
 }
 
 func (d *decoder) value(label string, ext ValueCodec) (any, error) {

@@ -1,14 +1,13 @@
-// Wire format v2: interned labels against a negotiated per-link table.
+// The link codec: records encoded against a negotiated per-link label
+// table.
 //
-// Version 1 (codec.go) ships every label as its full string on every
-// record. Version 2 exploits the runtime's interned-label representation
-// (record.Sym): each side of a link keeps a label table, and a label
-// crosses the wire as a varint symbol reference — its name travels exactly
-// once per link, inline with the first record that uses it. For the
-// steady-state traffic of a pipeline (thousands of records over a fixed
-// label vocabulary) the per-record label cost drops from len(name)+2 bytes
-// to one or two bytes, which is the wire-size reduction the Cluster's
-// transfer accounting charges.
+// Record labels are interned (record.Sym): each side of a link keeps a
+// label table, and a label crosses the wire as a varint symbol reference —
+// its name travels exactly once per link, inline with the first record
+// that uses it. For the steady-state traffic of a pipeline (thousands of
+// records over a fixed label vocabulary) the per-record label cost is one
+// or two bytes, which is the wire size the Cluster's transfer accounting
+// charges.
 //
 // Symbols are process-local, so the encoder writes its own record.Sym
 // values and the decoder resolves them purely through the negotiated
@@ -26,8 +25,9 @@ import (
 	"snet/internal/record"
 )
 
-// codecVersion2 is the interned-label wire format version byte.
-const codecVersion2 = 2
+// codecVersion is the wire-format version byte leading every message.
+// Version 1, a retired name-keyed format, is rejected.
+const codecVersion = 2
 
 // kBatch is the message kind of a record batch (MarshalBatch): where a
 // single-record message carries kData or kTrigger after the version byte, a
@@ -61,10 +61,10 @@ type ValueCodec interface {
 // Cluster shares per-link codecs between transferring goroutines).
 type Codec struct {
 	mu      sync.Mutex
-	sent    []bool            // encoder side: sym already defined to the peer
+	sent    []bool                // encoder side: sym already defined to the peer
 	names   map[uint64]record.Sym // decoder side: wire sym -> interned label
-	predefs []record.Sym      // predict-mode sizing scratch, reused under mu
-	ext     ValueCodec        // optional extension for non-scalar field values
+	predefs []record.Sym          // predict-mode sizing scratch, reused under mu
+	ext     ValueCodec            // optional extension for non-scalar field values
 }
 
 // NewCodec returns a fresh link codec with an empty negotiated table.
@@ -197,7 +197,7 @@ func (c *Codec) appendLabelRef(buf []byte, id record.Sym) []byte {
 // Size returns the wire size in bytes the next Marshal of r on this link
 // would produce, without changing the negotiated state — safe to combine
 // with a subsequent Marshal of the same record. Non-serializable field
-// values are sized by mpi.PayloadBytes, as in the stateless codec.
+// values are sized by mpi.PayloadBytes.
 func (c *Codec) Size(r *record.Record) int {
 	return c.size(r, false)
 }
@@ -349,9 +349,9 @@ func (c *Codec) appendExt(buf []byte, id record.Sym, v any) ([]byte, error) {
 	return append(buf, data...), nil
 }
 
-// Marshal encodes a record in wire format v2 against the link's negotiated
-// label table. Like the stateless Marshal it fails on field values that are
-// not wire-serializable (and not covered by the registered ValueCodec).
+// Marshal encodes a record against the link's negotiated label table. It
+// fails on field values that are not wire-serializable (and not covered by
+// the registered ValueCodec).
 func (c *Codec) Marshal(r *record.Record) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -359,7 +359,7 @@ func (c *Codec) Marshal(r *record.Record) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, 0, 64)
-	buf = append(buf, codecVersion2)
+	buf = append(buf, codecVersion)
 	return c.appendRecord(buf, r)
 }
 
@@ -384,7 +384,7 @@ func (c *Codec) MarshalBatch(rs []*record.Record) ([]byte, error) {
 		}
 	}
 	buf := make([]byte, 0, 16+64*len(rs))
-	buf = append(buf, codecVersion2, kBatch)
+	buf = append(buf, codecVersion, kBatch)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(rs)))
 	var err error
 	for _, r := range rs {
@@ -409,8 +409,8 @@ func (c *Codec) UnmarshalBatch(data []byte) ([]*record.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != codecVersion2 {
-		return nil, fmt.Errorf("dist: wire version %d, want %d", version, codecVersion2)
+	if version != codecVersion {
+		return nil, fmt.Errorf("dist: wire version %d, want %d", version, codecVersion)
 	}
 	kind, err := d.byte()
 	if err != nil {
@@ -425,7 +425,7 @@ func (c *Codec) UnmarshalBatch(data []byte) ([]*record.Record, error) {
 	}
 	outs := make([]*record.Record, 0, n)
 	for i := 0; i < int(n); i++ {
-		r, err := decodeRecordV2(d, c.names, c.ext)
+		r, err := decodeRecord(d, c.names, c.ext)
 		if err != nil {
 			return nil, fmt.Errorf("dist: batch record %d: %w", i, err)
 		}
@@ -437,31 +437,25 @@ func (c *Codec) UnmarshalBatch(data []byte) ([]*record.Record, error) {
 	return outs, nil
 }
 
-// Unmarshal decodes a v2-encoded record, extending the link's label table
-// with any inline definitions. A symbol reference that was never defined on
-// this link is an error — the buffer belongs to a different link or records
-// were decoded out of order.
+// Unmarshal decodes a Marshal-encoded record, extending the link's label
+// table with any inline definitions. A symbol reference that was never
+// defined on this link is an error — the buffer belongs to a different link
+// or records were decoded out of order.
 func (c *Codec) Unmarshal(data []byte) (*record.Record, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.names == nil {
 		c.names = make(map[uint64]record.Sym)
 	}
-	return unmarshalV2(data, c.names, c.ext)
-}
-
-// unmarshalV2 decodes a single-record v2 buffer against the given (mutable)
-// label table.
-func unmarshalV2(data []byte, names map[uint64]record.Sym, ext ValueCodec) (*record.Record, error) {
 	d := &decoder{buf: data}
 	version, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
-	if version != codecVersion2 {
-		return nil, fmt.Errorf("dist: wire version %d, want %d", version, codecVersion2)
+	if version != codecVersion {
+		return nil, fmt.Errorf("dist: wire version %d, want %d", version, codecVersion)
 	}
-	r, err := decodeRecordV2(d, names, ext)
+	r, err := decodeRecord(d, c.names, c.ext)
 	if err != nil {
 		return nil, err
 	}
@@ -471,9 +465,9 @@ func unmarshalV2(data []byte, names map[uint64]record.Sym, ext ValueCodec) (*rec
 	return r, nil
 }
 
-// decodeRecordV2 decodes one kind byte plus record body from d — the unit
+// decodeRecord decodes one kind byte plus record body from d — the unit
 // a single-record message carries once and a batch message repeats.
-func decodeRecordV2(d *decoder, names map[uint64]record.Sym, ext ValueCodec) (*record.Record, error) {
+func decodeRecord(d *decoder, names map[uint64]record.Sym, ext ValueCodec) (*record.Record, error) {
 	kind, err := d.byte()
 	if err != nil {
 		return nil, err

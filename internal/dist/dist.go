@@ -1,4 +1,3 @@
-//snet:hot
 // Package dist implements the Distributed S-Net platform: an abstract
 // cluster of compute nodes underneath the placement combinators "@" and
 // "!@". The paper maps one S-Net network onto a multi-node installation by
@@ -33,6 +32,8 @@
 // latency plus a bandwidth-proportional delay for every cross-node record,
 // letting benchmarks explore communication-bound regimes beyond the paper's
 // compute-bound figures.
+//
+//snet:hot
 package dist
 
 import (
@@ -412,7 +413,7 @@ func (c *Cluster) Loads(dst []int) []int {
 }
 
 // Transfer accounts one record hop from node `from` to node `to`: the hop is
-// counted, the record is byte-sized with the link's wire codec (v2: interned
+// counted, the record is byte-sized with the link's wire codec (interned
 // labels against the link's negotiated table, so repeated shipments of the
 // same label vocabulary shrink to symbol references), and — when a transfer
 // cost is configured — the calling goroutine is delayed by

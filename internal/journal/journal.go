@@ -36,6 +36,7 @@ import (
 	"sync"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/dist"
 	"snet/internal/record"
 )
@@ -99,7 +100,7 @@ type Config struct {
 	FsyncInterval time.Duration
 	// Clock drives the FsyncBatch interval decision; the zero value reads
 	// real time.
-	Clock Clock
+	Clock clock.Clock
 	// Ext decodes/encodes extension field values (dist.ValueCodec), for
 	// records whose fields are not wire scalars — e.g. a scene object
 	// journaled by its spec.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/faultfs"
 	"snet/internal/journal"
 	"snet/internal/record"
@@ -195,12 +196,12 @@ func TestFsyncAlwaysSurfacesSyncError(t *testing.T) {
 func TestFsyncBatchUsesInjectedClock(t *testing.T) {
 	dir := t.TempDir()
 	ffs := faultfs.New(journal.DirFS(dir))
-	now := time.Unix(1000, 0)
+	fc := clock.NewFake(time.Unix(1000, 0))
 	j := openDir(t, dir, func(c *journal.Config) {
 		c.FS = ffs
 		c.Fsync = journal.FsyncBatch
 		c.FsyncInterval = 100 * time.Millisecond
-		c.Clock = journal.Clock{NowFn: func() time.Time { return now }}
+		c.Clock = fc.Clock()
 	})
 	base := ffs.Syncs()
 	for i := 0; i < 10; i++ {
@@ -211,7 +212,7 @@ func TestFsyncBatchUsesInjectedClock(t *testing.T) {
 	if got := ffs.Syncs(); got != base {
 		t.Fatalf("appends within the interval synced %d times, want 0", got-base)
 	}
-	now = now.Add(150 * time.Millisecond)
+	fc.Advance(150 * time.Millisecond)
 	if _, err := j.Append("", rec(10)); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -237,26 +238,6 @@ func TestDuplicateIDDedupedOnReplay(t *testing.T) {
 	}
 	j2.Close()
 	_ = id
-}
-
-func TestBackoff(t *testing.T) {
-	ms := time.Millisecond
-	cases := []struct {
-		base, max time.Duration
-		n         int
-		want      time.Duration
-	}{
-		{0, 0, 1, 0},
-		{10 * ms, 0, 1, 10 * ms},
-		{10 * ms, 0, 3, 40 * ms},
-		{10 * ms, 25 * ms, 3, 25 * ms},
-		{10 * ms, 0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := journal.Backoff(c.base, c.max, c.n); got != c.want {
-			t.Errorf("Backoff(%v,%v,%d) = %v, want %v", c.base, c.max, c.n, got, c.want)
-		}
-	}
 }
 
 func TestMetaTooLong(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 
 	"runtime/debug"
 
-	"snet/internal/dist"
 	"snet/internal/record"
 	"snet/internal/rtype"
 )
@@ -119,46 +118,6 @@ func BenchmarkShapeHash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.SetTagSym(bNode, i) // value update: shape cache stays valid
 		_ = r.ShapeHash()
-	}
-}
-
-// BenchmarkMarshal measures the stateless (v1) wire encoding.
-func BenchmarkMarshal(b *testing.B) {
-	r := typicalRecord()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dist.Marshal(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMarshalNegotiated measures the v2 link codec in steady state,
-// after the label table has been negotiated.
-func BenchmarkMarshalNegotiated(b *testing.B) {
-	r := typicalRecord()
-	c := dist.NewCodec()
-	if _, err := c.Marshal(r); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Marshal(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSizeNegotiated measures the transfer-accounting path: sizing a
-// record against an already negotiated link table, as Cluster.Transfer
-// does per hop.
-func BenchmarkSizeNegotiated(b *testing.B) {
-	r := typicalRecord()
-	c := dist.NewCodec()
-	c.Account(r)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = c.Account(r)
 	}
 }
 

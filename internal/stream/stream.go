@@ -1,4 +1,3 @@
-//snet:hot
 // Package stream implements the batched record transport that connects
 // S-Net entities. A Link replaces the raw one-record-per-channel-op handoff
 // (two scheduler wakeups per hop) with reusable batches of records: senders
@@ -36,6 +35,8 @@
 // unwinds a network mid-batch. Batch slices are pooled and recycled by the
 // receiver; records themselves are owned by whoever holds them, exactly as
 // on a raw channel.
+//
+//snet:hot
 package stream
 
 import (
@@ -43,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/record"
 )
 
@@ -56,10 +58,6 @@ const (
 	// FlushInterval zero.
 	DefaultFlushInterval = 200 * time.Microsecond
 )
-
-// now is the package's clock seam: the linger-flush deadline reads time
-// through it so tests can pin flush-latency decisions to synthetic time.
-var now = time.Now //lint:reason default real-time binding of the clock seam
 
 // Config fixes a Link's batching behavior at creation time.
 type Config struct {
@@ -339,9 +337,9 @@ func (l *Link) flushCause() *int64 {
 		return &l.idleFlushes
 	case l.linger > 0:
 		if !l.pendStamped {
-			l.pendAt = now()
+			l.pendAt = clock.Clock{}.Now()
 			l.pendStamped = true
-		} else if n&3 == 0 && now().Sub(l.pendAt) >= l.linger {
+		} else if n&3 == 0 && (clock.Clock{}).Since(l.pendAt) >= l.linger {
 			return &l.timeFlushes
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/dist"
 	"snet/internal/journal"
 	"snet/internal/record"
@@ -105,7 +106,7 @@ type CoordinatorConfig struct {
 	// Clock overrides the cluster's time source and timer construction;
 	// tests use it to drive heartbeat, quarantine, and call-deadline
 	// decisions with synthetic time. The zero value reads real time.
-	Clock Clock
+	Clock clock.Clock
 }
 
 // WireStats are the transport-level counters of a coordinator — the
@@ -177,7 +178,7 @@ type Cluster struct {
 	everUp    []bool // this slot has completed a join at least once
 	joined    int
 	readyOnce sync.Once
-	joinTimer *Timer
+	joinTimer *clock.Timer
 
 	// Exec journal (CoordinatorConfig.JournalDir): dispatched-but-
 	// uncompleted remote calls, for orphan re-drive after a restart.

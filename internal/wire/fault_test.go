@@ -10,32 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/core"
 	"snet/internal/faultwire"
 	"snet/internal/leakcheck"
 	"snet/internal/record"
 )
-
-// fakeClock is a hand-advanced time source for CoordinatorConfig.Clock.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_000_000, 0)} }
-
-func (f *fakeClock) now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) advance(d time.Duration) time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.t = f.t.Add(d)
-	return f.t
-}
 
 type boxCallResult struct {
 	outs     []*record.Record
@@ -79,13 +59,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // local slot.
 func TestHungPeerDetectedByHeartbeat(t *testing.T) {
 	leakcheck.Check(t)
-	fc := newFakeClock()
+	fc := clock.NewFake(time.Unix(1_000_000, 0))
 	cl, err := Listen("127.0.0.1:0", CoordinatorConfig{
 		Workers: 1, CPUsPerNode: 1, JoinTimeout: 10 * time.Second,
-		// An hour-scale interval keeps the background ticker inert: every
-		// sweep in this test is explicit, at a manufactured time.
+		// The heartbeat ticker runs on the fake clock too, so it ticks
+		// only at the instants the test advances to, alongside the
+		// explicit sweeps that the assertions wait on.
 		HeartbeatInterval: time.Hour, // liveness defaults to 4h
-		Clock:             Clock{NowFn: fc.now},
+		Clock:             fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +99,7 @@ func TestHungPeerDetectedByHeartbeat(t *testing.T) {
 	// One heartbeat interval of silence: the sweep PINGs, and that is
 	// all. Without liveness expiry there is provably no progress — the
 	// RESULT cannot arrive, and nothing has failed the call over.
-	cl.sweep(fc.advance(2 * time.Hour))
+	cl.sweep(fc.Advance(2 * time.Hour))
 	select {
 	case r := <-done:
 		t.Fatalf("call completed with only a PING sweep: %+v", r)
@@ -130,7 +111,7 @@ func TestHungPeerDetectedByHeartbeat(t *testing.T) {
 
 	// Past the liveness timeout the sweep declares the peer dead, which
 	// fails the pending call over to the local slot.
-	cl.sweep(fc.advance(3 * time.Hour)) // 5h silent > 4h liveness
+	cl.sweep(fc.Advance(3 * time.Hour)) // 5h silent > 4h liveness
 	r := <-done
 	if r.err != nil || !r.ok || r.remote || !r.localRan {
 		t.Fatalf("failover: %+v", r)
@@ -150,7 +131,7 @@ func TestHungPeerDetectedByHeartbeat(t *testing.T) {
 // channel, so every timeout is certain, not a race won.
 func TestCallTimeoutQuarantineAndProbeBack(t *testing.T) {
 	leakcheck.Check(t)
-	fc := newFakeClock()
+	fc := clock.NewFake(time.Unix(1_000_000, 0))
 	cl, err := Listen("127.0.0.1:0", CoordinatorConfig{
 		Workers: 1, CPUsPerNode: 2, JoinTimeout: 10 * time.Second,
 		HeartbeatInterval:  time.Hour,
@@ -159,7 +140,7 @@ func TestCallTimeoutQuarantineAndProbeBack(t *testing.T) {
 		FaultLimit:         2,
 		FaultWindow:        24 * time.Hour,
 		QuarantineCooldown: time.Hour,
-		Clock:              Clock{NowFn: fc.now},
+		Clock:              fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +165,17 @@ func TestCallTimeoutQuarantineAndProbeBack(t *testing.T) {
 	}()
 
 	// Call 1: attempt times out, the retry times out, the second fault
-	// trips the quarantine, and the call fails over to a local slot.
-	r := <-execAsync(cl, 1, "held", record.New().SetField("x", 1))
+	// trips the quarantine, and the call fails over to a local slot. Each
+	// deadline passes when the test advances the fake clock over it.
+	done := execAsync(cl, 1, "held", record.New().SetField("x", 1))
+	for attempt := 1; attempt <= 2; attempt++ {
+		waitFor(t, "call deadline", func() bool {
+			d, ok := fc.Next()
+			return ok && d <= 50*time.Millisecond
+		})
+		fc.Advance(50 * time.Millisecond)
+	}
+	r := <-done
 	if r.err != nil || !r.ok || r.remote || !r.localRan {
 		t.Fatalf("quarantining call: %+v", r)
 	}
@@ -213,7 +203,7 @@ func TestCallTimeoutQuarantineAndProbeBack(t *testing.T) {
 	// peer even though it is excluded from dispatch; its PONG is the
 	// evidence of life that requalifies it. The link was otherwise silent
 	// (the held boxes have sent nothing), so the PING is load-bearing.
-	cl.sweep(fc.advance(2 * time.Hour))
+	cl.sweep(fc.Advance(2 * time.Hour))
 	waitFor(t, "requalification", func() bool { return !cl.quarantined(1) })
 
 	// Release the held boxes: their late RESULTs arrive for dropped

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/core"
 	"snet/internal/dist"
 	"snet/internal/record"
@@ -51,10 +52,6 @@ type WorkerConfig struct {
 	// Logf, when set, receives one-line progress messages (joins, exec
 	// counts at shutdown). Nil is silent.
 	Logf func(format string, args ...any)
-	// Clock overrides the worker's time source and timer construction;
-	// tests use it to drive the pinger, liveness stamps, and reconnect
-	// backoff with synthetic time. The zero value reads real time.
-	Clock Clock
 }
 
 // ErrRetriesExhausted wraps the final connection error when RunLoop gives
@@ -162,7 +159,7 @@ func (w *Worker) RunLoop(addr string, maxRetries int) error {
 		failures++
 		delay := w.backoff(failures)
 		w.logf("connection lost (%v); reconnect attempt %d/%d in %v", err, failures, maxRetries, delay)
-		<-w.cfg.Clock.NewTimer(delay).C
+		<-clock.Clock{}.NewTimer(delay).C
 	}
 }
 
@@ -241,7 +238,7 @@ func (w *Worker) Run(addr string) error {
 	}
 	w.gate = dist.NewCluster(1, w.slots)
 	w.joined = true
-	w.lastRecv.Store(w.cfg.Clock.Now().UnixNano())
+	w.lastRecv.Store(clock.Clock{}.Now().UnixNano())
 	if rejoin > 0 {
 		w.logf("rejoined as node %d of %d (%d slots, boxes %v)", w.node, w.nodes, w.slots, names)
 	} else {
@@ -278,7 +275,7 @@ func (w *Worker) Run(addr string) error {
 			loopErr = err
 			break
 		}
-		w.lastRecv.Store(w.cfg.Clock.Now().UnixNano())
+		w.lastRecv.Store(clock.Clock{}.Now().UnixNano())
 		switch typ {
 		case fExec, fStealGrant:
 			e, err := parseExec(payload)
@@ -342,14 +339,14 @@ func (w *Worker) Run(addr string) error {
 // coordinator only probes when IT is not hearing from the worker, which
 // is not quite the same condition). Exits with the Run that started it.
 func (w *Worker) pinger(done chan struct{}, interval time.Duration) {
-	t := w.cfg.Clock.NewTicker(interval)
+	t := clock.Clock{}.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-done:
 			return
 		case <-t.C:
-			idle := w.cfg.Clock.Since(time.Unix(0, w.lastRecv.Load()))
+			idle := clock.Clock{}.Since(time.Unix(0, w.lastRecv.Load()))
 			if idle >= interval {
 				w.write(fPing)
 			}

@@ -1,81 +1,46 @@
-// Application-level exercise of the wire.Clock seam: the coordinator's
-// entire fault detector — heartbeat ticker AND wall-clock reads — is
-// driven by a synthetic clock injected through the public
-// CoordinatorConfig.Clock, with a real pipeline running over a real
-// socket underneath. No sleeps, no unexported hooks: detection happens
-// exactly when the test advances time and fires a tick, and the
-// application keeps completing runs afterwards on local slots.
+// Application-level exercise of the clock seam: the coordinator's entire
+// fault detector — heartbeat ticker AND wall-clock reads — is driven by a
+// clock.Fake injected through the public CoordinatorConfig.Clock, with a
+// real pipeline running over a real socket underneath. No sleeps, no
+// unexported hooks: detection happens exactly when the test advances the
+// fake past the liveness timeout, and the application keeps completing
+// runs afterwards on local slots.
 package wireapp
 
 import (
-	"sync"
 	"testing"
 	"time"
 
+	"snet/internal/clock"
 	"snet/internal/leakcheck"
 	"snet/internal/wire"
 )
 
-// syntheticClock is a hand-advanced wire.Clock: Now reads a settable
-// time, and the heartbeat ticker fires only when the test says so.
-type syntheticClock struct {
-	mu   sync.Mutex
-	t    time.Time
-	tick chan time.Time
-}
-
-func newSyntheticClock() *syntheticClock {
-	return &syntheticClock{t: time.Unix(5_000_000, 0), tick: make(chan time.Time, 1)}
-}
-
-func (s *syntheticClock) now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.t
-}
-
-func (s *syntheticClock) advance(d time.Duration) time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.t = s.t.Add(d)
-	return s.t
-}
-
-// clock assembles the wire.Clock: synthetic Now, and a ticker whose
-// channel the test feeds by hand (interval is irrelevant).
-func (s *syntheticClock) clock() wire.Clock {
-	return wire.Clock{
-		NowFn: s.now,
-		TickerFn: func(time.Duration) *wire.Ticker {
-			return &wire.Ticker{C: s.tick, StopFn: func() {}}
-		},
-	}
-}
-
 func TestSyntheticClockDrivesLivenessOverRealPipeline(t *testing.T) {
 	leakcheck.Check(t)
-	sc := newSyntheticClock()
+	fc := clock.NewFake(time.Unix(5_000_000, 0))
 	cl, err := wire.Listen("127.0.0.1:0", wire.CoordinatorConfig{
 		Workers: 1, CPUsPerNode: 2, JoinTimeout: 20 * time.Second,
 		HeartbeatInterval: time.Second,
 		LivenessTimeout:   4 * time.Second,
-		Clock:             sc.clock(),
+		Clock:             fc.Clock(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-
 	w := wire.NewWorker(wire.WorkerConfig{})
 	for name, fn := range PipelineWorkerBoxes(0) {
 		w.Register(name, fn)
 	}
 	workerErr := make(chan error, 1)
 	go func() { workerErr <- w.Run(cl.Addr().String()) }()
+	defer func() {
+		cl.Close()
+		<-workerErr
+	}()
 	if err := cl.WaitReady(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { <-workerErr }()
 
 	// A full pipeline run with the fleet healthy: records cross the
 	// socket, fuse executes remotely. Synthetic time never moves, so the
@@ -92,17 +57,19 @@ func TestSyntheticClockDrivesLivenessOverRealPipeline(t *testing.T) {
 		t.Fatalf("worker not live after a successful run: %+v", ws)
 	}
 
-	// Advance past the liveness timeout and fire exactly one heartbeat
+	// Advance past the liveness timeout, which delivers one heartbeat
 	// tick: the sweep must compare the synthetic idle time against the
 	// stamps it recorded with the same clock and declare the worker dead —
-	// no wall-clock time has passed at all.
-	sc.advance(5 * time.Second)
-	sc.tick <- sc.now()
+	// no wall-clock time decides it. A gossip frame the worker sends after
+	// the run (a load report, a steal request) can land between an Advance
+	// and its sweep and rightly refresh liveness, so each poll advances
+	// again until a sweep finds the link silent.
 	deadline := time.Now().Add(10 * time.Second)
 	for cl.WireStats().LiveWorkers != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker never declared dead: %+v", cl.WireStats())
 		}
+		fc.Advance(5 * time.Second)
 		time.Sleep(time.Millisecond)
 	}
 	if err := <-workerErr; err == nil {
