@@ -1,13 +1,15 @@
 // Edge-case coverage for the interned-label record representation: the
 // S-Net semantic invariants (override rule, btag exemption) and the
 // representation-level hazards (inline-capacity spill, reuse after Reset,
-// equality across construction orders).
+// equality across construction orders, control records and label classes
+// on the wire).
 package record_test
 
 import (
 	"fmt"
 	"testing"
 
+	"snet/internal/dist"
 	"snet/internal/record"
 )
 
@@ -159,5 +161,91 @@ func TestResetReuse(t *testing.T) {
 	}
 	if !r.Equal(record.New().SetField("fresh", 1)) {
 		t.Fatal("reused record not equal to fresh equivalent")
+	}
+}
+
+// TestTriggerCodecRoundTrips checks that control records survive a link
+// codec both before and after data records have populated its label table:
+// trigger first, then data, trigger, data — the trailing data record must
+// still resolve its (table-only) label references.
+func TestTriggerCodecRoundTrips(t *testing.T) {
+	enc, dec := dist.NewCodec(), dist.NewCodec()
+	data := record.New().SetField("chunk", "payload").SetTag("tasks", 48)
+	for i, r := range []*record.Record{record.NewTrigger(), data, record.NewTrigger(), data.Copy()} {
+		buf, err := enc.Marshal(r)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		rt, err := dec.Unmarshal(buf)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if rt.IsData() != r.IsData() {
+			t.Fatalf("record %d: kind lost", i)
+		}
+		if r.IsData() && !rt.Equal(r) {
+			t.Fatalf("record %d: round trip %s != %s", i, rt, r)
+		}
+	}
+}
+
+// TestCodecV2FailedMarshalKeepsNegotiation: a Marshal that fails (opaque
+// field value) must not commit label definitions the peer never receives;
+// the next successful Marshal on the link must still round-trip.
+func TestCodecV2FailedMarshalKeepsNegotiation(t *testing.T) {
+	enc, dec := dist.NewCodec(), dist.NewCodec()
+	bad := record.New().SetTag("tasks", 48).SetField("scene", struct{ x int }{1})
+	if _, err := enc.Marshal(bad); err == nil {
+		t.Fatal("opaque field marshalled")
+	}
+	good := record.New().SetTag("tasks", 48).SetField("scene", "now-a-string")
+	buf, err := enc.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := dec.Unmarshal(buf)
+	if err != nil {
+		t.Fatalf("link desynced by failed marshal: %v", err)
+	}
+	if !rt.Equal(good) {
+		t.Fatalf("round trip %s != %s", rt, good)
+	}
+}
+
+// TestCodecV2SizePredictsMarshal pins Size's contract — the size of the
+// next Marshal, without advancing negotiation — including the case of one
+// name used in two label classes of the same record (defined inline once).
+func TestCodecV2SizePredictsMarshal(t *testing.T) {
+	r := record.New().SetTag("x", 1).SetField("x", "both-classes").SetField("y", 2)
+	for hop := 0; hop < 3; hop++ {
+		c := dist.NewCodec()
+		for i := 0; i <= hop; i++ {
+			want := c.Size(r)
+			buf, err := c.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want != len(buf) {
+				t.Fatalf("hop %d/%d: Size = %d, Marshal = %d bytes", i, hop, want, len(buf))
+			}
+		}
+	}
+}
+
+// TestCodecV2CrossLinkIsolation: a reference-only buffer is undecodable on
+// a link that never saw the definition — the failure mode the per-link
+// tables must detect rather than mislabel.
+func TestCodecV2CrossLinkIsolation(t *testing.T) {
+	enc := dist.NewCodec()
+	r := record.New().SetTag("tasks", 48)
+	if _, err := enc.Marshal(r); err != nil { // defines <tasks> on this link
+		t.Fatal(err)
+	}
+	refOnly, err := enc.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dist.NewCodec().Unmarshal(refOnly); err == nil {
+		t.Fatal("foreign link decoded a reference-only buffer")
 	}
 }
