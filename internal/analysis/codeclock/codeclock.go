@@ -1,10 +1,11 @@
 // Package codeclock enforces the PR-6 codec-ordering invariant on the
 // wire transport: a link's dist.Codec negotiates its label table by
-// emission order, so every encode (Codec.Marshal / Codec.MarshalBatch)
-// and every raw connection write in snet/internal/wire must happen under
-// the owning link's write mutex — otherwise two goroutines can interleave
-// "negotiate label, write frame" sequences and desynchronize the peer's
-// label table, corrupting every record that follows.
+// emission order, so every encode (Codec.Marshal / AppendMarshal /
+// MarshalBatch) and every raw connection write in snet/internal/wire must
+// happen under the owning link's write mutex — otherwise two goroutines
+// can interleave "negotiate label, write frame" sequences and
+// desynchronize the peer's label table, corrupting every record that
+// follows.
 //
 // The check is the codebase's own locking convention, made mechanical.
 // A guarded call is legal when, in source order within the same function
@@ -153,14 +154,15 @@ func isMutexOp(sel *ast.SelectorExpr, op string) bool {
 // covers: a dist.Codec encode, or a net.Conn write.
 func guardedCall(pass *framework.Pass, sel *ast.SelectorExpr) (string, bool) {
 	name := sel.Sel.Name
-	if name != "Marshal" && name != "MarshalBatch" && name != "Write" {
+	encode := name == "Marshal" || name == "AppendMarshal" || name == "MarshalBatch"
+	if !encode && name != "Write" {
 		return "", false
 	}
 	pkgPath, typeName, ok := pass.NamedRecv(sel)
 	if !ok {
 		return "", false
 	}
-	if (name == "Marshal" || name == "MarshalBatch") && typeName == "Codec" && pkgPath == "snet/internal/dist" {
+	if encode && typeName == "Codec" && pkgPath == "snet/internal/dist" {
 		return "dist.Codec." + name, true
 	}
 	if name == "Write" && typeName == "Conn" && pkgPath == "net" {

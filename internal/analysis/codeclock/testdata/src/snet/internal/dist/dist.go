@@ -6,4 +6,6 @@ type Codec struct{}
 
 func (c *Codec) Marshal(v any) ([]byte, error) { return nil, nil }
 
+func (c *Codec) AppendMarshal(dst []byte, v any) ([]byte, error) { return dst, nil }
+
 func (c *Codec) MarshalBatch(v []any) ([]byte, error) { return nil, nil }

@@ -41,6 +41,10 @@ func (p *peer) badBatch(vs []any) {
 	_, _ = p.codec.MarshalBatch(vs) // want "dist.Codec.MarshalBatch outside the link write mutex"
 }
 
+func (p *peer) badAppend(dst []byte, v any) {
+	_, _ = p.codec.AppendMarshal(dst, v) // want "dist.Codec.AppendMarshal outside the link write mutex"
+}
+
 func (p *peer) badUnlockThenWrite(b []byte) {
 	p.wmu.Lock()
 	p.wmu.Unlock()

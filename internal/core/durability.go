@@ -153,16 +153,20 @@ func newTracker(jnl *journal.Journal, errs *errSink) *tracker {
 	return &tracker{pending: make(map[uint64]int64), jnl: jnl, errs: errs}
 }
 
-// open starts tracking id at count 1. Re-opening a live id (a replay raced
-// into a still-tracked delivery) is ignored — the first tree wins.
-func (t *tracker) open(id uint64) bool {
+// openAll starts tracking each of ids at count 1, under one lock.
+// Re-opening a live id (a replay raced into a still-tracked delivery) is
+// ignored — the first tree wins.
+func (t *tracker) openAll(ids []uint64) {
+	if len(ids) == 0 {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, live := t.pending[id]; live {
-		return false
+	for _, id := range ids {
+		if _, live := t.pending[id]; !live {
+			t.pending[id] = 1
+		}
 	}
-	t.pending[id] = 1
-	return true
 }
 
 // fork adjusts id's count by delta, acknowledging the journal when the

@@ -415,3 +415,86 @@ func TestBackoff(t *testing.T) {
 		}
 	}
 }
+
+// gatedFS counts the journal's accept writes (a write whose first frame
+// is an 'A') and holds the first one until release closes, so a test can
+// queue records behind the intake while it is inside the journal.
+type gatedFS struct {
+	journal.FS
+	entered chan struct{}
+	release chan struct{}
+	mu      sync.Mutex
+	accepts int
+}
+
+func (g *gatedFS) OpenAppend(name string) (journal.File, error) {
+	f, err := g.FS.OpenAppend(name)
+	return gatedFile{File: f, fs: g}, err
+}
+
+type gatedFile struct {
+	journal.File
+	fs *gatedFS
+}
+
+func (f gatedFile) Write(p []byte) (int, error) {
+	if len(p) > 8 && p[8] == 'A' {
+		f.fs.mu.Lock()
+		f.fs.accepts++
+		first := f.fs.accepts == 1
+		f.fs.mu.Unlock()
+		if first {
+			close(f.fs.entered)
+			<-f.fs.release
+		}
+	}
+	return f.File.Write(p)
+}
+
+func TestDurabilityGroupCommit(t *testing.T) {
+	defer leakcheck.Check(t)
+	dir := t.TempDir()
+	fs := &gatedFS{FS: journal.DirFS(dir), entered: make(chan struct{}), release: make(chan struct{})}
+	inst := NewNetwork(incBox("inc", 1), Options{
+		BufferSize: 64, BatchSize: 16,
+		Durability: &Durability{Dir: dir, FS: fs},
+	}).Start()
+	inst.Send(record.New().SetField("x", 0))
+	<-fs.entered
+	// 32 records queue on In while the intake is inside the first write;
+	// one of them has no wire form and must flow through untracked.
+	for i := 1; i <= 32; i++ {
+		r := record.New().SetField("x", i)
+		if i == 7 {
+			r.SetField("opaque", struct{ y int }{i})
+		}
+		inst.Send(r)
+	}
+	close(fs.release)
+	go func() { inst.closeOnce.Do(func() { close(inst.in) }) }()
+	var got []int
+	for r := range inst.Out {
+		got = append(got, xVal(t, r))
+	}
+	if err := inst.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	sort.Ints(got)
+	if len(got) != 33 || got[0] != 1 || got[32] != 33 {
+		t.Fatalf("outputs = %v, want 1..33", got)
+	}
+	// The queued 32 drain as two groups of 16: three accept writes.
+	fs.mu.Lock()
+	if fs.accepts != 3 {
+		t.Errorf("33 records took %d accept writes, want 3", fs.accepts)
+	}
+	fs.mu.Unlock()
+	j, err := journal.Open(journal.Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
+	defer j.Close()
+	if rec := j.Recovered(); len(rec) != 0 {
+		t.Fatalf("journal still holds %d unacked deliveries after full completion", len(rec))
+	}
+}

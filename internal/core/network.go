@@ -108,13 +108,14 @@ func (n *Network) Start() *Instance {
 	n.optimized.Spawn(env, first, last)
 	// Intake: channel -> first link. The link's own flush policy decides
 	// batch boundaries; closing In cascades into the network. With a
-	// journal, each accepted data record is logged and stamped with its
-	// delivery id before it enters the network — a record arriving with a
-	// delivery id already set is a replay (Recover) and is tracked without
-	// being re-journaled. Records the journal cannot encode (opaque field
-	// values without an Ext codec) flow through untracked.
+	// journal the intake commits groups (journaledIntake); without one it
+	// hands each record over as it arrives.
 	env.start(func() {
 		defer env.closeLink(first)
+		if env.jnl != nil {
+			journaledIntake(env, in, first)
+			return
+		}
 		for {
 			var r *record.Record
 			var ok bool
@@ -123,24 +124,7 @@ func (n *Network) Start() *Instance {
 			case <-env.done:
 				return
 			}
-			if !ok {
-				return
-			}
-			if env.jnl != nil && r.IsData() {
-				if id := r.Delivery(); id != 0 {
-					env.track.open(id)
-				} else if env.jnl.Marshalable(r) {
-					id, err := env.jnl.Append("", r)
-					if err != nil {
-						env.reportRT("", ErrCatJournal, r.String(),
-							fmt.Errorf("journal append: %w", err))
-					} else {
-						r.SetDelivery(id)
-						env.track.open(id)
-					}
-				}
-			}
-			if !first.Send(r, env.done) {
+			if !ok || !first.Send(r, env.done) {
 				return
 			}
 		}
@@ -182,6 +166,78 @@ func (n *Network) Start() *Instance {
 		}
 	})
 	return &Instance{In: in, Out: out, env: env, in: in, optStats: n.optStats}
+}
+
+// journaledIntake is the intake of an instance with a journal. It takes
+// one record with a blocking receive, then drains — without blocking —
+// whatever is already queued on in, up to the first link's batch size, so
+// no record ever waits for one that has not arrived. Each accepted data
+// record of the group is journaled (one write for the group) and stamped
+// with its delivery id before the group enters the network; a record
+// arriving with a delivery id already set is a replay (Recover) and is
+// tracked without being re-journaled. Records the journal cannot encode
+// (opaque field values without an Ext codec), and every record of a group
+// whose write failed, flow through untracked.
+func journaledIntake(env *Env, in <-chan *record.Record, first *stream.Link) {
+	size := first.BatchSize()
+	group := make([]*record.Record, 0, size)
+	fresh := make([]*record.Record, 0, size)
+	ids := make([]uint64, size)
+	open := make([]uint64, 0, size)
+	for {
+		var r *record.Record
+		var ok bool
+		select {
+		case r, ok = <-in:
+		case <-env.done:
+			return
+		}
+		if !ok {
+			return
+		}
+		group = append(group[:0], r)
+	drain:
+		for len(group) < size {
+			select {
+			case r, ok = <-in:
+				if !ok {
+					break drain
+				}
+				group = append(group, r)
+			default:
+				break drain
+			}
+		}
+		fresh, open = fresh[:0], open[:0]
+		for _, r := range group {
+			if !r.IsData() {
+				continue
+			}
+			if id := r.Delivery(); id != 0 {
+				open = append(open, id)
+			} else {
+				fresh = append(fresh, r)
+			}
+		}
+		if len(fresh) > 0 {
+			if err := env.jnl.AppendBatch("", fresh, ids); err != nil {
+				env.reportRT("", ErrCatJournal, fresh[0].String(),
+					fmt.Errorf("journal append: %w", err))
+			}
+			for i, r := range fresh {
+				if ids[i] != 0 {
+					r.SetDelivery(ids[i])
+					open = append(open, ids[i])
+				}
+			}
+		}
+		env.track.openAll(open)
+		sent := first.SendMany(group, env.done)
+		clear(group)
+		if !sent || !ok {
+			return
+		}
+	}
 }
 
 // LinkStats is a snapshot of one stream link's traffic counters: records

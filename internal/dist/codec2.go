@@ -18,6 +18,7 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -55,6 +56,14 @@ type ValueCodec interface {
 	Encode(v any) (name string, data []byte, err error)
 	Decode(name string, data []byte) (any, error)
 }
+
+// ErrUnencodable marks a record rejected by validation — a label count
+// beyond the wire limits or a field value neither a built-in scalar nor
+// accepted by the registered ValueCodec. Validation runs before any
+// negotiation state advances, so a failure wrapping ErrUnencodable leaves
+// the link in sync; any other encode failure (an extension Encode error)
+// may not.
+var ErrUnencodable = errors.New("dist: record not encodable")
 
 // Codec is a stateful encoder/decoder for one direction of one link. The
 // zero value is ready to use. All methods are safe for concurrent use (the
@@ -265,14 +274,14 @@ func (c *Codec) checkMarshalable(r *record.Record) error {
 	if r.NumTags() > math.MaxUint16 || r.NumBTags() > math.MaxUint16 ||
 		r.NumFields() > math.MaxUint16 {
 		return fmt.Errorf(
-			"dist: record with %d fields, %d tags, %d btags exceeds the wire limit of %d labels per kind",
-			r.NumFields(), r.NumTags(), r.NumBTags(), math.MaxUint16)
+			"%w: %d fields, %d tags, %d btags exceeds the wire limit of %d labels per kind",
+			ErrUnencodable, r.NumFields(), r.NumTags(), r.NumBTags(), math.MaxUint16)
 	}
 	var preErr error
 	r.VisitFieldSyms(func(id record.Sym, v any) {
 		if preErr == nil && !wireSerializable(v) && !(c.ext != nil && c.ext.Handles(v)) {
-			preErr = fmt.Errorf("dist: field %q value of type %T is not wire-serializable",
-				record.SymName(id), v)
+			preErr = fmt.Errorf("%w: field %q value of type %T is not wire-serializable",
+				ErrUnencodable, record.SymName(id), v)
 		}
 	})
 	return preErr
@@ -349,18 +358,28 @@ func (c *Codec) appendExt(buf []byte, id record.Sym, v any) ([]byte, error) {
 	return append(buf, data...), nil
 }
 
-// Marshal encodes a record against the link's negotiated label table. It
-// fails on field values that are not wire-serializable (and not covered by
-// the registered ValueCodec).
+// Marshal encodes a record against the link's negotiated label table into
+// a fresh buffer (see AppendMarshal).
 func (c *Codec) Marshal(r *record.Record) ([]byte, error) {
+	return c.AppendMarshal(make([]byte, 0, 64), r)
+}
+
+// AppendMarshal appends the Marshal encoding of r to dst and returns the
+// extended slice; it allocates only when dst lacks the capacity. It fails
+// on field values that are not wire-serializable (and not covered by the
+// registered ValueCodec) with an error wrapping ErrUnencodable. On any
+// error it returns dst unextended.
+func (c *Codec) AppendMarshal(dst []byte, r *record.Record) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.checkMarshalable(r); err != nil {
-		return nil, err
+		return dst, err
 	}
-	buf := make([]byte, 0, 64)
-	buf = append(buf, codecVersion)
-	return c.appendRecord(buf, r)
+	buf, err := c.appendRecord(append(dst, codecVersion), r)
+	if err != nil {
+		return dst, err
+	}
+	return buf, nil
 }
 
 // MarshalBatch encodes a whole stream batch as one wire message in exactly

@@ -24,6 +24,22 @@
 // its segment: a torn tail from a crash mid-write costs the torn frame
 // only, never the segment.
 //
+// Only a name that is exactly seg-NNNNNN.wal is a segment: any other
+// file in the directory (seg-000001.wal.bak, seg-12.wal) is neither
+// replayed nor deleted.
+//
+// # Group commit
+//
+// AppendBatch journals an intake group: every record's accept frame is
+// encoded straight into one scratch buffer, the group reaches the segment
+// in one write, and the fsync policy applies once per group (FsyncAlways
+// is one sync per group). Append is a one-record group. A failed or short
+// group write reseals the segment; the group's complete leading frames
+// stay readable, while the caller treats the whole group as untracked, so
+// at worst those records replay as duplicates. The runtime's intake only
+// groups when it has a journal; without one it hands records over one at
+// a time.
+//
 // Segments rotate at Config.SegmentBytes; a sealed segment whose accepts
 // are all acked is deleted (truncation), so steady-state disk usage is
 // bounded by the in-flight window, not history.
@@ -31,8 +47,11 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -61,7 +80,8 @@ const (
 	// FsyncBatch syncs when the configured interval has elapsed since the
 	// last sync, amortizing the fsync over the appends in between.
 	FsyncBatch
-	// FsyncAlways syncs every append before it is acknowledged.
+	// FsyncAlways syncs every write — one per AppendBatch group, one per
+	// Ack — before it returns.
 	FsyncAlways
 )
 
@@ -137,7 +157,7 @@ type segState struct {
 
 // Journal is an open journal. All methods are safe for concurrent use.
 type Journal struct {
-	// Concurrency: Append and Ack are called from different runtime
+	// Concurrency: AppendBatch and Ack are called from different runtime
 	// goroutines (intake pump vs outlet acker), serialized by mu.
 	mu        sync.Mutex
 	fs        FS
@@ -184,9 +204,11 @@ func Open(cfg Config) (*Journal, error) {
 	var order []uint64 // accept order across segments
 	byID := map[uint64]Entry{}
 	for _, name := range names {
-		if n, ok := segIndex(name); ok && n >= j.nextSeg {
-			j.nextSeg = n + 1
+		n, ok := segIndex(name)
+		if !ok {
+			continue // not a segment: neither replayed nor truncated
 		}
+		j.nextSeg = max(j.nextSeg, n+1)
 		data, err := cfg.FS.ReadFile(name)
 		if err != nil {
 			return nil, fmt.Errorf("journal: read %s: %w", name, err)
@@ -295,10 +317,14 @@ func (j *Journal) replaySegment(si int, data []byte, dec *dist.Codec,
 	}
 }
 
-// segIndex parses seg-NNNNNN.wal.
+// segName names segment n.
+func segName(n int) string { return fmt.Sprintf(segPrefix+"%06d.wal", n) }
+
+// segIndex parses a segment name, accepting only names segName produces:
+// a stray seg-000001.wal.bak or seg-12.wal is not a segment.
 func segIndex(name string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(name, segPrefix+"%06d.wal", &n); err != nil {
+	n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), ".wal"))
+	if err != nil || n < 0 || segName(n) != name {
 		return 0, false
 	}
 	return n, true
@@ -313,7 +339,7 @@ func (j *Journal) Recovered() []Entry {
 	return j.recovered
 }
 
-// NextID returns the delivery id the next Append will assign.
+// NextID returns the delivery id the next append will assign.
 func (j *Journal) NextID() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -330,58 +356,105 @@ func (j *Journal) Stats() Stats {
 	return s
 }
 
-// Marshalable reports whether r can be journaled (its field values are
-// wire scalars or covered by the configured extension codec).
-func (j *Journal) Marshalable(r *record.Record) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.enc.Marshalable(r)
+// Append journals one accepted record under a fresh delivery id and
+// returns the id: a one-record AppendBatch. A record the codec cannot
+// encode is an error here.
+func (j *Journal) Append(meta string, r *record.Record) (uint64, error) {
+	var id [1]uint64
+	if err := j.AppendBatch(meta, []*record.Record{r}, id[:]); err != nil {
+		return 0, err
+	}
+	if id[0] == 0 {
+		return 0, fmt.Errorf("journal: record not encodable: %s", r)
+	}
+	return id[0], nil
 }
 
-// Append journals one accepted record under a fresh delivery id and
-// returns the id. meta is an opaque caller tag stored with the record
-// (recovered entries carry it back). The record stays the caller's.
-func (j *Journal) Append(meta string, r *record.Record) (uint64, error) {
+// AppendBatch journals a group of accepted records under fresh delivery
+// ids, in order, and stores record i's id in ids[i] (ids must hold
+// len(rs) slots). meta is an opaque caller tag stored with every record
+// (recovered entries carry it back); the records stay the caller's.
+//
+// Every record's accept frame is encoded straight into the journal's
+// scratch buffer under one lock, and the group reaches the segment in one
+// write with the fsync policy applied once — FsyncAlways syncs once per
+// group. A record the codec cannot encode gets id 0 and is not journaled;
+// the rest of the group is. An error means the group's write (or sync)
+// failed: every id is then 0 and the records are untracked, although a
+// torn write may have persisted complete leading frames, which replay.
+func (j *Journal) AppendBatch(meta string, rs []*record.Record, ids []uint64) error {
+	ids = ids[:len(rs)]
+	clear(ids)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.usable(); err != nil {
-		return 0, err
+		return err
 	}
 	if len(meta) > 0xffff {
-		return 0, fmt.Errorf("journal: meta too long (%d bytes)", len(meta))
+		return fmt.Errorf("journal: meta too long (%d bytes)", len(meta))
 	}
-	rec, err := j.enc.Marshal(r)
-	if err != nil {
-		// The codec session may have committed label state the failed
-		// frame never wrote; reseal the segment so disk and session agree.
-		if rerr := j.rotate(); rerr != nil {
-			j.failed = rerr
+	p, from := j.buf[:0], 0
+	for i, r := range rs {
+		start := len(p)
+		p = append(p, make([]byte, frameHeader)...)
+		p = append(p, 'A')
+		// The id is consumed even when the write fails: a torn frame may
+		// still replay, and reusing its id for a later record would
+		// collide with it.
+		p = binary.LittleEndian.AppendUint64(p, j.nextID)
+		p = binary.LittleEndian.AppendUint16(p, uint16(len(meta)))
+		p = append(p, meta...)
+		var err error
+		if p, err = j.enc.AppendMarshal(p, r); err != nil {
+			p = p[:start]
+			if errors.Is(err, dist.ErrUnencodable) {
+				continue // rejected before the codec session moved
+			}
+			// An extension encode failed mid-record: the codec session
+			// committed label state no frame carries. Commit the frames
+			// so far, then reseal so disk and session agree.
+			if err := j.commit(p, ids[from:i]); err != nil {
+				return err
+			}
+			if err := j.rotate(); err != nil {
+				j.failed = err
+				return err
+			}
+			p, from = j.buf[:0], i+1
+			continue
 		}
-		return 0, fmt.Errorf("journal: marshal record: %w", err)
+		sealFrame(p[start:])
+		ids[i] = j.nextID
+		j.nextID++
 	}
-	// The id is consumed even when the write fails: a torn frame may still
-	// replay, and reusing its id for a later record would collide with it.
-	id := j.nextID
-	j.nextID++
-	p := append(j.buf[:0], make([]byte, frameHeader)...)
-	p = append(p, 'A')
-	p = binary.LittleEndian.AppendUint64(p, id)
-	p = binary.LittleEndian.AppendUint16(p, uint16(len(meta)))
-	p = append(p, meta...)
-	p = append(p, rec...)
-	if err := j.writeFrame(p); err != nil {
-		return 0, err
+	return j.commit(p, ids[from:])
+}
+
+// commit writes the sealed accept frames in p and registers the non-zero
+// ids among ids (the group's slots) as unacked in the current segment. On
+// failure it zeroes ids. Callers hold mu.
+func (j *Journal) commit(p []byte, ids []uint64) error {
+	if len(p) == 0 {
+		return nil
 	}
-	j.stats.Appends++
+	if err := j.write(p); err != nil {
+		clear(ids)
+		return err
+	}
 	si := len(j.segs) - 1
-	j.segs[si].unacked[id] = struct{}{}
-	j.segOf[id] = si
+	for _, id := range ids {
+		if id != 0 {
+			j.stats.Appends++
+			j.segs[si].unacked[id] = struct{}{}
+			j.segOf[id] = si
+		}
+	}
 	if j.curSize >= j.cfg.SegmentBytes {
 		if err := j.rotate(); err != nil {
 			j.failed = err
 		}
 	}
-	return id, nil
+	return nil
 }
 
 // Ack journals the completion of the given delivery ids and truncates any
@@ -396,48 +469,52 @@ func (j *Journal) Ack(ids []uint64) error {
 	if err := j.usable(); err != nil {
 		return err
 	}
-	for len(ids) > 0 {
-		n := len(ids)
-		if n > 0xffff {
-			n = 0xffff
-		}
-		p := append(j.buf[:0], make([]byte, frameHeader)...)
+	p := j.buf[:0]
+	for rest := ids; len(rest) > 0; {
+		n := min(len(rest), 0xffff)
+		start := len(p)
+		p = append(p, make([]byte, frameHeader)...)
 		p = append(p, 'K')
 		p = binary.LittleEndian.AppendUint16(p, uint16(n))
-		for _, id := range ids[:n] {
+		for _, id := range rest[:n] {
 			p = binary.LittleEndian.AppendUint64(p, id)
 		}
-		if err := j.writeFrame(p); err != nil {
-			return err
+		sealFrame(p[start:])
+		rest = rest[n:]
+	}
+	if err := j.write(p); err != nil {
+		return err
+	}
+	j.stats.Acks += len(ids)
+	for _, id := range ids {
+		if si, ok := j.segOf[id]; ok {
+			delete(j.segs[si].unacked, id)
+			delete(j.segOf, id)
 		}
-		j.stats.Acks += n
-		for _, id := range ids[:n] {
-			if si, ok := j.segOf[id]; ok {
-				delete(j.segs[si].unacked, id)
-				delete(j.segOf, id)
-			}
-		}
-		ids = ids[n:]
 	}
 	j.truncate()
 	return nil
 }
 
-// writeFrame appends one length-prefixed CRC'd frame and applies the fsync
-// policy. frame is the whole frame with frameHeader bytes reserved (and
-// overwritten here) ahead of the payload; it aliases j.buf, which is
-// reclaimed for the next frame. Callers hold mu. A failed or short write
-// leaves an unreadable tail, so the segment is resealed (rotate) to keep
-// later frames readable; if that fails too the journal is marked failed.
-func (j *Journal) writeFrame(frame []byte) error {
+// sealFrame fills in the length and CRC header of one frame whose first
+// frameHeader bytes were reserved ahead of its payload.
+func sealFrame(frame []byte) {
 	payload := frame[frameHeader:]
 	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	j.buf = frame[:0] // reclaim the scratch for the next frame
-	n, err := j.cur.Write(frame)
+}
+
+// write appends sealed frames to the current segment in one write and
+// applies the fsync policy once. p aliases j.buf, which is reclaimed for
+// the next group. Callers hold mu. A failed or short write leaves an
+// unreadable tail, so the segment is resealed (rotate) to keep later
+// frames readable; if that fails too the journal is marked failed.
+func (j *Journal) write(p []byte) error {
+	j.buf = p[:0]
+	n, err := j.cur.Write(p)
 	j.curSize += n
-	if err == nil && n < len(frame) {
-		err = fmt.Errorf("journal: short write (%d of %d bytes)", n, len(frame))
+	if err == nil && n < len(p) {
+		err = fmt.Errorf("journal: short write (%d of %d bytes)", n, len(p))
 	}
 	if err != nil {
 		if rerr := j.rotate(); rerr != nil {
@@ -466,7 +543,7 @@ func (j *Journal) rotate() error {
 		j.cur = nil
 		j.truncate()
 	}
-	name := fmt.Sprintf(segPrefix+"%06d.wal", j.nextSeg)
+	name := segName(j.nextSeg)
 	f, err := j.fs.OpenAppend(name)
 	if err != nil {
 		return fmt.Errorf("journal: open segment %s: %w", name, err)

@@ -1,6 +1,10 @@
 package journal_test
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -245,5 +249,163 @@ func TestMetaTooLong(t *testing.T) {
 	defer j.Close()
 	if _, err := j.Append(strings.Repeat("x", 70000), rec(0)); err == nil {
 		t.Fatal("oversized meta accepted")
+	}
+}
+
+func TestAppendBatchIsOneWriteAndOneSync(t *testing.T) {
+	dir := t.TempDir()
+	ffs := faultfs.New(journal.DirFS(dir))
+	j := openDir(t, dir, func(c *journal.Config) {
+		c.FS = ffs
+		c.Fsync = journal.FsyncAlways
+	})
+	rs := make([]*record.Record, 16)
+	for i := range rs {
+		rs[i] = rec(i)
+	}
+	// An opaque field value has no wire form: that record alone is left
+	// out of the group.
+	rs[5] = record.New().SetField("payload", struct{ x int }{1})
+	ids := make([]uint64, len(rs))
+	writes, syncs := ffs.Writes(), ffs.Syncs()
+	if err := j.AppendBatch("grp", rs, ids); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if got := ffs.Writes() - writes; got != 1 {
+		t.Errorf("group of 16 took %d writes, want 1", got)
+	}
+	if got := ffs.Syncs() - syncs; got != 1 {
+		t.Errorf("group under FsyncAlways took %d syncs, want 1", got)
+	}
+	if ids[5] != 0 {
+		t.Errorf("unencodable record got id %d, want 0", ids[5])
+	}
+	if s := j.Stats(); s.Appends != 15 || s.Unacked != 15 {
+		t.Errorf("stats %+v, want 15 appends and 15 unacked", s)
+	}
+	if _, err := j.Append("", rs[5]); err == nil {
+		t.Error("Append of an unencodable record succeeded")
+	}
+	j.Close()
+
+	j2 := openDir(t, dir, nil)
+	defer j2.Close()
+	got := j2.Recovered()
+	if len(got) != 15 {
+		t.Fatalf("recovered %d entries, want 15", len(got))
+	}
+	for i, e := range got {
+		want := ids[i]
+		if i >= 5 {
+			want = ids[i+1]
+		}
+		if e.ID != want || e.Meta != "grp" {
+			t.Errorf("recovered[%d] = id %d meta %q, want id %d meta grp", i, e.ID, e.Meta, want)
+		}
+	}
+}
+
+func TestStraySegmentNamesIgnored(t *testing.T) {
+	dir := t.TempDir()
+	// A backup of a segment holding unacked records: were it parsed as a
+	// segment, Open would replay it and truncation would delete it.
+	src := t.TempDir()
+	js := openDir(t, src, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := js.Append("", rec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	js.Close()
+	seg, err := os.ReadFile(filepath.Join(src, "seg-000000.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	strays := []string{"seg-000001.wal.bak", "seg-000007.wal~", "seg-12.wal"}
+	for _, name := range strays {
+		if err := os.WriteFile(filepath.Join(dir, name), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	j := openDir(t, dir, func(c *journal.Config) { c.SegmentBytes = 256 })
+	if n := len(j.Recovered()); n != 0 {
+		t.Fatalf("recovered %d entries from stray files, want 0", n)
+	}
+	// Rotate through several segments and ack everything, so truncation
+	// sweeps every sealed segment.
+	var ids []uint64
+	for i := 0; i < 30; i++ {
+		id, err := j.Append("", rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := j.Ack(ids); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2 := openDir(t, dir, nil)
+	if n := len(j2.Recovered()); n != 0 {
+		t.Fatalf("recovered %d entries on reopen, want 0", n)
+	}
+	j2.Close()
+	for _, name := range strays {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || !bytes.Equal(got, seg) {
+			t.Errorf("stray %s was touched: err %v", name, err)
+		}
+	}
+}
+
+// flakyExt is an extension codec whose Encode fails for the value "bad"
+// after Handles accepted it — a mid-record encode failure.
+type flakyExt struct{}
+
+type extVal string
+
+func (flakyExt) Handles(v any) bool { _, ok := v.(extVal); return ok }
+
+func (flakyExt) Encode(v any) (string, []byte, error) {
+	if v.(extVal) == "bad" {
+		return "", nil, errors.New("induced encode failure")
+	}
+	return "ext", []byte(v.(extVal)), nil
+}
+
+func (flakyExt) Decode(name string, data []byte) (any, error) { return extVal(data), nil }
+
+func TestAppendBatchMidRecordEncodeFailureReseals(t *testing.T) {
+	dir := t.TempDir()
+	ext := func(c *journal.Config) { c.Ext = flakyExt{} }
+	j := openDir(t, dir, ext)
+	rs := []*record.Record{
+		rec(0).SetField("v", extVal("ok0")),
+		rec(1).SetField("v", extVal("bad")).SetTag("fresh", 1),
+		rec(2).SetField("v", extVal("ok2")).SetTag("fresh", 2),
+	}
+	ids := make([]uint64, len(rs))
+	if err := j.AppendBatch("", rs, ids); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if ids[0] == 0 || ids[1] != 0 || ids[2] == 0 {
+		t.Fatalf("ids = %v, want the failed record alone at 0", ids)
+	}
+	// The failed encode defined the "fresh" label in the codec session
+	// without any frame carrying it: the journal must have resealed, so
+	// record 2 defines it again in a new segment.
+	if s := j.Stats(); s.Segments != 2 {
+		t.Fatalf("segments = %d, want 2 (resealed)", s.Segments)
+	}
+	j.Close()
+	j2 := openDir(t, dir, ext)
+	defer j2.Close()
+	got := j2.Recovered()
+	if len(got) != 2 || got[0].ID != ids[0] || got[1].ID != ids[2] {
+		t.Fatalf("recovered %v, want ids %d and %d", got, ids[0], ids[2])
+	}
+	if !got[1].Rec.Equal(rs[2]) {
+		t.Fatalf("recovered %s, want %s", got[1].Rec, rs[2])
 	}
 }
