@@ -7,7 +7,6 @@ import (
 
 	"snet/internal/record"
 	"snet/internal/rtype"
-	"snet/internal/stream"
 )
 
 // BoxCall is the context handed to a box function for one triggering record.
@@ -38,6 +37,9 @@ type BoxCall struct {
 	// panic as *panicError), left for the caller to handle: attempt
 	// decides between report-and-continue, retry, and dead-letter.
 	err error
+	// run executes box.fn against this context, converting a panic into
+	// err; it is what the platform schedules.
+	run func()
 	// noInherit marks a detached call (CallBox): the emissions leave as the
 	// box's raw output and the process that dispatched the call applies
 	// flow inheritance when they return (see RemotePlatform).
@@ -145,7 +147,8 @@ type boxImpl struct {
 // matched against the box's input type, the body runs as a single box
 // execution on the current platform node, and the box is only then ready
 // for the next record (boxes are sequential per instance, as in S-Net;
-// concurrency comes from replication and pipelining).
+// concurrency comes from replication and pipelining). The entity is a
+// stage chain of one box stage (see runStages).
 //
 // The consumed-label sets used for flow inheritance are fixed here, at
 // construction time: each input variant's interned-symbol slices (built
@@ -153,53 +156,28 @@ type boxImpl struct {
 // invocation as-is, so matching and inheritance allocate nothing per
 // record.
 func NewBox(name string, sig rtype.Signature, fn BoxFunc) *Entity {
-	b := &boxImpl{name: name, sig: sig, fn: fn}
-	return &Entity{
-		name: name,
-		sig:  sig,
-		kind: kindBox,
-		box:  b,
-		spawn: func(env *Env, in, out *stream.Link) {
-			env.start(func() {
-				defer env.closeLink(out)
-				call, run := newBoxRunner(env, b)
-				for {
-					r, ok := env.recv(in)
-					if !ok {
-						return
-					}
-					if !r.IsData() {
-						if !env.send(out, r) {
-							return
-						}
-						continue
-					}
-					if !b.invoke(call, run, r, out) {
-						return
-					}
-				}
-			})
-		},
-	}
+	e := &Entity{name: name, sig: sig}
+	e.setStages([]stage{{ent: e, box: &boxImpl{name: name, sig: sig, fn: fn}}})
+	return e
 }
 
-// newBoxRunner builds the reusable per-instance call context and execution
-// closure: boxes are sequential per instance, so both (including the
+// newBoxCall builds the reusable per-instance call context, execution
+// closure included: boxes are sequential per instance, so both (and the
 // pending-output buffer) are recycled across invocations rather than
-// allocated per record. Shared by the standalone box entity and by fused
-// chain stages (each fused box stage is one instance).
-func newBoxRunner(env *Env, b *boxImpl) (*BoxCall, func()) {
-	call := &BoxCall{env: env, box: b}
+// allocated per record. One context serves every box stage of a chain;
+// attempt binds it to the stage's box.
+func newBoxCall(env *Env) *BoxCall {
+	call := &BoxCall{env: env}
 	call.pending = call.pendArr[:0]
-	run := func() {
+	call.run = func() {
 		defer func() {
 			if p := recover(); p != nil {
 				call.err = &panicError{val: p}
 			}
 		}()
-		call.err = b.fn(call)
+		call.err = call.box.fn(call)
 	}
-	return call, run
+	return call
 }
 
 // panicError is a recovered box panic, kept distinguishable from an
@@ -216,9 +194,9 @@ func (p *panicError) Error() string { return fmt.Sprintf("box panicked: %v", p.v
 // (the caller must unwind); matched is false when r matched no input
 // variant (reported, r recycled, nothing pending). On matched, call.In
 // stays set until the caller has flushed call.pending and decided whether
-// r was re-emitted. invoke flushes downstream; fused chain stages hand the
-// emissions to the next stage in memory.
-func (b *boxImpl) execute(call *BoxCall, run func(), r *record.Record) (matched, ok bool) {
+// r was re-emitted. The stage runner hands the emissions to the next stage,
+// or flushes them downstream after the last one.
+func (b *boxImpl) execute(call *BoxCall, r *record.Record) (matched, ok bool) {
 	env := call.env
 	v, score := b.sig.In.BestMatch(r)
 	if score < 0 {
@@ -243,7 +221,7 @@ func (b *boxImpl) execute(call *BoxCall, run func(), r *record.Record) (matched,
 		// checking and flow inheritance are applied here, on the dispatching
 		// side, so remote execution is invisible downstream.
 		outs, remote, ok, err := env.remPlat.ExecBox(env.node, env.done, b.name, r,
-			env.opts.WorkStealing, run)
+			env.opts.WorkStealing, call.run)
 		if !ok {
 			call.In = nil
 			call.Matched = nil
@@ -261,7 +239,7 @@ func (b *boxImpl) execute(call *BoxCall, run func(), r *record.Record) (matched,
 			call.emitted = len(outs)
 			call.pending = append(call.pending, outs...)
 		}
-	} else if !env.exec(r, run) {
+	} else if !env.exec(r, call.run) {
 		// Stopped while queued for a platform CPU slot; the body never
 		// ran. Drop the record (stopped instances do not recycle).
 		call.In = nil
@@ -290,12 +268,14 @@ func boxErrCategory(err error) ErrorCategory {
 // budget is exhausted the record moves to the dead-letter queue and dead is
 // true — call.pending is empty and r now belongs to the queue, the caller
 // must neither send nor recycle. Without retry, a failure is reported and
-// the partial emissions flow (the historical behaviour).
-func (b *boxImpl) attempt(call *BoxCall, run func(), r *record.Record) (matched, ok, dead bool) {
+// the partial emissions flow (the historical behaviour). attempt binds call
+// to b first, so one call context serves every box stage of a chain.
+func (b *boxImpl) attempt(call *BoxCall, r *record.Record) (matched, ok, dead bool) {
+	call.box = b
 	env := call.env
 	policy := env.opts.BoxRetry
 	for n := 1; ; n++ {
-		matched, ok = b.execute(call, run, r)
+		matched, ok = b.execute(call, r)
 		if !ok || !matched {
 			return matched, ok, false
 		}
@@ -350,7 +330,7 @@ func (b *boxImpl) discardAttempt(call *BoxCall, r *record.Record) {
 // record itself (identity-style bodies may re-emit it) and resets the call
 // context for the next invocation without retaining record references. The
 // emissions must already have been moved out of call.pending (sent, or
-// copied into the next fused stage's input).
+// copied into the next stage's input).
 func finishCall(call *BoxCall, r *record.Record) (reemitted bool) {
 	for _, o := range call.pending {
 		if o == r {
@@ -362,34 +342,6 @@ func finishCall(call *BoxCall, r *record.Record) (reemitted bool) {
 	call.In = nil
 	call.Matched = nil
 	return reemitted
-}
-
-// invoke runs one box execution for record r, reusing the instance's call
-// context and execution closure, and flushes the emissions downstream. It
-// reports false when the instance was stopped (while waiting for a CPU
-// slot or flushing output), in which case the box goroutine must unwind.
-func (b *boxImpl) invoke(call *BoxCall, run func(), r *record.Record, out *stream.Link) bool {
-	matched, ok, dead := b.attempt(call, run, r)
-	if !ok {
-		return false
-	}
-	if !matched || dead {
-		return true
-	}
-	env := call.env
-	// Flush outside the platform slot: downstream backpressure must not
-	// hold a node CPU. The whole emission set goes out in one link
-	// operation (SendMany batches it under a single lock), and the
-	// pending buffer stays the box's — records are appended into the
-	// link's own batches. The box consumed its input, so r is dead
-	// afterwards and returns to the pool — unless the body emitted the
-	// input record itself.
-	delivered := env.sendMany(out, call.pending)
-	reemitted := finishCall(call, r)
-	if !reemitted && delivered {
-		recycle(r)
-	}
-	return delivered
 }
 
 // CallBox runs a box body once against input as a detached execution: no

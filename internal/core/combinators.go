@@ -119,7 +119,7 @@ func choiceEnt(branches []*Entity, tree *selNode, ncursors int, elide bool) *Ent
 			st[i].in = env.newLink()
 			bo := env.newLink()
 			b.spawn(env, st[i].in, bo)
-			env.start(func() { coll.drainInto(bo) })
+			env.start(func() { coll.drainInto(bo, env.node) })
 		}
 		// Control records traverse the first non-elided branch so they
 		// keep FIFO order with the data records routed there; they bypass
@@ -455,23 +455,7 @@ func splitImpl(a *Entity, tag string, nameFn func() string, placed bool) *Entity
 			// framing and per-hop latency.
 			startReturn := func(node int, instOut *stream.Link) {
 				coll.add(1)
-				if node == env.node {
-					env.start(func() { coll.drainInto(instOut) })
-					return
-				}
-				env.start(func() {
-					defer coll.done()
-					for {
-						b, ok := instOut.RecvBatch(env.done)
-						if !ok {
-							return
-						}
-						env.transferBatch(node, env.node, b.Recs)
-						if !coll.out.SendBatch(b, env.done) {
-							return
-						}
-					}
-				})
+				env.start(func() { coll.drainInto(instOut, node) })
 			}
 			// ensure lazily instantiates the pinned replica for tag value
 			// v, resolving its node through the placement policy the
@@ -605,30 +589,12 @@ func At(a *Entity, node int) *Entity {
 			// one link operation per batch, not per record.
 			env.start(func() {
 				defer env.closeLink(innerIn)
-				for {
-					b, ok := in.RecvBatch(env.done)
-					if !ok {
-						return
-					}
-					env.transferBatch(env.node, target, b.Recs)
-					if !innerIn.SendBatch(b, env.done) {
-						return
-					}
-				}
+				env.relay(in, innerIn, env.node, target)
 			})
 			a.spawn(env.At(target), innerIn, innerOut)
 			env.start(func() {
 				defer env.closeLink(out)
-				for {
-					b, ok := innerOut.RecvBatch(env.done)
-					if !ok {
-						return
-					}
-					env.transferBatch(target, env.node, b.Recs)
-					if !out.SendBatch(b, env.done) {
-						return
-					}
-				}
+				env.relay(innerOut, out, target, env.node)
 			})
 		},
 	}

@@ -571,23 +571,22 @@ func (s *errSink) report() ErrorReport {
 type SpawnFunc func(env *Env, in, out *stream.Link)
 
 // entityKind discriminates what an Entity is, so the network optimizer can
-// rewrite trees structurally (flatten serial/choice nests, fuse filter and
-// box runs, elide identities) without per-combinator knowledge leaking out
-// of the constructors. kindOpaque covers everything the optimizer treats as
-// a black box (stars, splits, placement, observers, feedback); such nodes
-// still participate in optimization through their rebuild hook.
+// rewrite trees structurally (flatten serial/choice nests, elide
+// identities) without per-combinator knowledge leaking out of the
+// constructors. kindOpaque covers stage chains — boxes, filters and their
+// fusions, marked by a non-empty Entity.stages — and everything the
+// optimizer treats as a black box (stars, splits, placement, observers,
+// feedback); such nodes still participate in optimization through their
+// rebuild hook.
 type entityKind uint8
 
 const (
 	kindOpaque entityKind = iota
-	kindBox
-	kindFilter
 	kindIdentity
 	kindSync
 	kindSerial    // n-ary serial chain; kids are the stages in order
 	kindChoice    // n-ary nondeterministic choice; kids are the leaves
 	kindDetChoice // n-ary deterministic choice; kids are the leaves
-	kindFused     // optimizer-built single-goroutine stage chain
 )
 
 // Entity is a SISO network component: a box, filter, synchrocell, or a
@@ -614,16 +613,11 @@ type Entity struct {
 	// observe, feedback), so their operands still get optimized.
 	rebuild func(kids []*Entity) *Entity
 
-	// rules is the filter payload (kindFilter): the compiled rule set,
-	// shared with fused entities so a fused filter stage is bit-identical
-	// to the standalone one.
-	rules []compiledRule
-	// box is the box payload (kindBox), shared with fused entities.
-	box *boxImpl
-	// stages is the fused-chain payload (kindFused): the flattened stage
-	// list a single goroutine threads each record through. kids keeps the
-	// original parts for Describe.
-	stages []fuseStage
+	// stages is the stage-chain payload: the stage list one goroutine
+	// threads each record through (runStages). A box or filter is a chain
+	// of one stage; a fused chain concatenates its parts' stages, and its
+	// kids keep the original parts for Describe.
+	stages []stage
 	// selTree/selCursors drive choice dispatch (kindChoice/kindDetChoice):
 	// the selector tree reproduces nested round-robin tie-breaking over
 	// the flattened leaf list; selCursors is the number of cursor slots a
@@ -747,31 +741,25 @@ func (c *collector) done() {
 // was stopped and the producer must unwind.
 func (c *collector) send(r *record.Record) bool { return c.env.send(c.out, r) }
 
-// drainInto forwards everything from src to the collector in whole
-// batches (a batch formed upstream crosses the merge as one operation),
-// then signs off.
-func (c *collector) drainInto(src *stream.Link) {
+// drainInto forwards everything from src — produced on node from — to the
+// collector in whole batches, then signs off.
+func (c *collector) drainInto(src *stream.Link, from int) {
 	defer c.done()
-	for {
-		b, ok := src.RecvBatch(c.env.done)
-		if !ok {
-			return
-		}
-		if !c.out.SendBatch(b, c.env.done) {
-			return
-		}
-	}
+	c.env.relay(src, c.out, from, c.env.node)
 }
 
-// pump copies src to dst in whole batches and closes dst when src is
-// exhausted or the instance is stopped.
-func (e *Env) pump(src, dst *stream.Link) {
-	defer e.closeLink(dst)
+// relay forwards src to dst in whole batches (a batch formed upstream
+// crosses as one link operation) until src is exhausted or the instance is
+// stopped, accounting each batch as one platform transfer from node from
+// to node to — free when they are the same node. Closing dst is the
+// caller's.
+func (e *Env) relay(src, dst *stream.Link, from, to int) {
 	for {
 		b, ok := src.RecvBatch(e.done)
 		if !ok {
 			return
 		}
+		e.transferBatch(from, to, b.Recs)
 		if !dst.SendBatch(b, e.done) {
 			return
 		}

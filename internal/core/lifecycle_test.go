@@ -425,6 +425,70 @@ func TestChoiceControlRecordKeepsBranchOrder(t *testing.T) {
 	}
 }
 
+// TestStageChainControlRecordKeepsOrder sends a trigger between data
+// records through a standalone box, a standalone filter and a
+// filter..box..filter chain (fused under OptimizeFull, three linked
+// entities under OptimizeOff): the trigger must leave between the outputs
+// of the records around it.
+func TestStageChainControlRecordKeepsOrder(t *testing.T) {
+	leakcheck.Check(t)
+	sig := MustSig([]rtype.Label{rtype.F("x")}, []rtype.Label{rtype.F("x")})
+	// The box is slow enough that the trigger arrives while data is still
+	// queued ahead of it.
+	slow := func() *Entity {
+		return NewBox("slowinc", sig, func(c *BoxCall) error {
+			time.Sleep(2 * time.Millisecond)
+			c.Emit(record.New().SetField("x", c.Field("x").(int)+10))
+			return nil
+		})
+	}
+	copyX := func() *Entity {
+		return NewFilter("", FilterRule{
+			Pattern: rtype.NewPattern(rtype.NewVariant(rtype.F("x"))),
+			Outputs: []FilterOutput{{CopyFields: []string{"x"}}},
+		})
+	}
+	for _, tc := range []struct {
+		name  string
+		e     *Entity
+		delta int
+	}{
+		{"box", slow(), 10},
+		{"filter", copyX(), 0},
+		{"filter..box..filter", SerialAll(copyX(), slow(), copyX()), 10},
+	} {
+		for _, opt := range []OptimizeLevel{OptimizeOff, OptimizeFull} {
+			outs, err := NewNetwork(tc.e, Options{Optimize: opt}).Run(
+				record.New().SetField("x", 1),
+				record.New().SetField("x", 2),
+				record.NewTrigger(),
+				record.New().SetField("x", 3),
+				record.New().SetField("x", 4),
+			)
+			if err != nil {
+				t.Fatalf("%s (optimize %d): %v", tc.name, opt, err)
+			}
+			if len(outs) != 5 {
+				t.Fatalf("%s (optimize %d): got %d outputs, want 5", tc.name, opt, len(outs))
+			}
+			want := []int{1, 2, -1, 3, 4}
+			for i, o := range outs {
+				if want[i] < 0 {
+					if o.IsData() {
+						t.Fatalf("%s (optimize %d): output %d is %s, want the trigger",
+							tc.name, opt, i, o)
+					}
+					continue
+				}
+				if !o.IsData() || xVal(t, o) != want[i]+tc.delta {
+					t.Fatalf("%s (optimize %d): output %d is %s, want x=%d",
+						tc.name, opt, i, o, want[i]+tc.delta)
+				}
+			}
+		}
+	}
+}
+
 func TestChoiceAllIdentityControlPassThrough(t *testing.T) {
 	leakcheck.Check(t)
 	outs, err := NewNetwork(Choice(Identity(), Identity()), Options{}).Run(

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"snet/internal/record"
-	"snet/internal/rtype"
-	"snet/internal/stream"
-)
+import "snet/internal/rtype"
 
 // OptimizeLevel selects how aggressively NewNetwork rewrites the entity
 // tree before instantiation.
@@ -54,14 +50,6 @@ type OptStats struct {
 	ChoicesShortCircuited int
 }
 
-// fuseStage is one stage of a fused chain: a filter rule set or a box,
-// with the original entity kept for error attribution.
-type fuseStage struct {
-	ent   *Entity
-	rules []compiledRule // filter stage (box == nil)
-	box   *boxImpl       // box stage
-}
-
 // Optimize rewrites an entity tree into a cheaper equivalent and reports
 // what it did. The input is never mutated (entities are immutable and may
 // be shared); unchanged subtrees are returned by reference. The catalogue:
@@ -79,10 +67,10 @@ type fuseStage struct {
 //     through the stages in memory — no links, no per-hop handoff. Runs
 //     with two or more boxes are not merged across the second box: box
 //     pipelining is real parallelism, and serializing heavy stages to save
-//     a hop is a loss. Stage semantics are shared code with the standalone
-//     entities (runRules, boxImpl.execute), so matching, flow inheritance,
+//     a hop is a loss. Standalone boxes and filters are one-stage chains
+//     run by the same loop (runStages), so matching, flow inheritance,
 //     error reporting, recycling, and remote/stealable box execution are
-//     identical.
+//     identical fused or not.
 //   - Branch pruning: a choice branch no upstream record can ever win
 //     dispatch for (rtype.Dominated over the declared signatures, sound
 //     under flow inheritance) is removed; a choice left with one branch is
@@ -374,23 +362,18 @@ func (o *optimizer) rewriteChoice(e *Entity) *Entity {
 }
 
 // fusableBoxes reports how many box stages op would contribute to a fused
-// chain, or -1 when op cannot be a fused stage.
+// chain, or -1 when op is not a stage chain.
 func fusableBoxes(op *Entity) int {
-	switch op.kind {
-	case kindFilter:
-		return 0
-	case kindBox:
-		return 1
-	case kindFused:
-		n := 0
-		for i := range op.stages {
-			if op.stages[i].box != nil {
-				n++
-			}
-		}
-		return n
+	if len(op.stages) == 0 {
+		return -1
 	}
-	return -1
+	n := 0
+	for i := range op.stages {
+		if op.stages[i].box != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // fuseChain merges maximal fusable runs (filters plus at most one box) in
@@ -423,30 +406,20 @@ func (o *optimizer) fuseChain(ops []*Entity) []*Entity {
 	return res
 }
 
-// boundaryStageIsBox resolves what stage kind a part presents at its first
-// (last=false) or last (last=true) stage, for fusion accounting.
+// boundaryStageIsBox reports whether a part's first (last=false) or last
+// (last=true) stage is a box, for fusion accounting.
 func boundaryStageIsBox(op *Entity, last bool) bool {
-	if op.kind == kindFused {
-		if last {
-			return op.stages[len(op.stages)-1].box != nil
-		}
-		return op.stages[0].box != nil
+	if last {
+		return op.stages[len(op.stages)-1].box != nil
 	}
-	return op.kind == kindBox
+	return op.stages[0].box != nil
 }
 
 // fuseParts builds one fused entity over the given adjacent parts.
 func (o *optimizer) fuseParts(parts []*Entity) *Entity {
-	var stages []fuseStage
+	var stages []stage
 	for _, p := range parts {
-		switch p.kind {
-		case kindFilter:
-			stages = append(stages, fuseStage{ent: p, rules: p.rules})
-		case kindBox:
-			stages = append(stages, fuseStage{ent: p, box: p.box})
-		case kindFused:
-			stages = append(stages, p.stages...)
-		}
+		stages = append(stages, p.stages...)
 	}
 	// Count the new part boundaries only (an already-fused part's internal
 	// boundaries were counted when it was built).
@@ -467,90 +440,13 @@ func (o *optimizer) fuseParts(parts []*Entity) *Entity {
 		nameFn: func() string { return "fused" + combName(parts, "..") },
 		sig:    rtype.NewSignature(parts[0].sig.In, parts[len(parts)-1].sig.Out),
 		kids:   parts,
-		kind:   kindFused,
-		stages: stages,
 	}
-	e.spawn = spawnFused(e)
+	e.setStages(stages)
 	return e
 }
 
-// spawnFused instantiates a fused chain: one goroutine threads each input
-// record through the stage list in memory, emitting the final stage's
-// outputs downstream in the same DFS order the unfused pipeline would
-// produce. Control records pass straight through, FIFO with the data.
-func spawnFused(e *Entity) SpawnFunc {
-	stages := e.stages
-	return func(env *Env, in, out *stream.Link) {
-		env.start(func() {
-			defer env.closeLink(out)
-			// One reusable call context and execution closure per box
-			// stage (boxes are sequential per instance).
-			calls := make([]*BoxCall, len(stages))
-			runs := make([]func(), len(stages))
-			for i := range stages {
-				if stages[i].box != nil {
-					calls[i], runs[i] = newBoxRunner(env, stages[i].box)
-				}
-			}
-			// cur/next are the record front between stages, reused across
-			// inputs.
-			var cur, next []*record.Record
-			for {
-				r, ok := env.recv(in)
-				if !ok {
-					return
-				}
-				if !r.IsData() {
-					if !env.send(out, r) {
-						return
-					}
-					continue
-				}
-				cur = append(cur[:0], r)
-				for si := range stages {
-					s := &stages[si]
-					next = next[:0]
-					if s.box == nil {
-						for _, rec := range cur {
-							next = runRules(env, s.ent, s.rules, rec, next)
-						}
-					} else {
-						for _, rec := range cur {
-							matched, ok, dead := s.box.attempt(calls[si], runs[si], rec)
-							if !ok {
-								// Stopped mid-chain: unwind; in-flight
-								// records are dropped like any stopped
-								// instance's.
-								return
-							}
-							if !matched || dead {
-								// Dropped (no match) or dead-lettered:
-								// nothing pending, the record is no
-								// longer ours.
-								continue
-							}
-							next = append(next, calls[si].pending...)
-							if !finishCall(calls[si], rec) {
-								recycle(rec)
-							}
-						}
-					}
-					cur, next = next, cur
-				}
-				if !env.sendMany(out, cur) {
-					return
-				}
-				// Drop the references so recycled records are not retained
-				// past delivery.
-				clear(cur)
-				clear(next)
-			}
-		})
-	}
-}
-
 // countEntities counts entity-tree nodes with spawn multiplicity: a
-// subtree referenced twice instantiates twice, so it counts twice; a fused
+// subtree referenced twice instantiates twice, so it counts twice; a stage
 // chain instantiates one goroutine, so it counts once regardless of how
 // many parts it swallowed.
 func countEntities(e *Entity) int {
@@ -564,7 +460,7 @@ func countEntities(e *Entity) int {
 			return m.n
 		}
 		c := 1
-		if n.kind != kindFused {
+		if len(n.stages) == 0 {
 			for _, k := range n.kids {
 				c += walk(k)
 			}
